@@ -18,7 +18,7 @@ from .invariant_spaces import (InvariantSpaceSpec, SearchReport,
                                has_bidiagonal_staircase,
                                is_triangular_invariant, search_max_dimension,
                                split_bound, triangular_closure)
-from .linalg import (Fp, Mat, SingularMatrixError, charpoly_discriminant,
+from .linalg import (Mat, SingularMatrixError, charpoly_discriminant,
                      commutator, mat_from_columns, random_matrix)
 from .numberfield import AlgebraicNumber, ExtensionLimitError, NumberField
 from .subspace import MatrixSubspace, full_space, span, zero_space

@@ -6,8 +6,7 @@ success, 1 on verdict failures (search below the bound, refuted rank
 condition, failed structure match, triangularization errors), 2 on parse or
 validation problems (with a machine-readable error object on stderr).
 
-Environment: CRLAB_PRIME overrides the screening prime, CRLAB_MAX_N the
-search size guard.
+Environment: CRLAB_MAX_N overrides the search size guard.
 """
 
 from __future__ import annotations
@@ -69,12 +68,11 @@ def _cmd_construct(args):
 def _cmd_analyze(args):
     t0 = time.monotonic()
     v = read_subspace(args.file)
-    profile = max_commutator_rank(v, args.trials, args.seed)
     bound_report = check_dimension_bound(v, args.trials, args.seed)
     results = {
         "ambient": v.n,
         "dim": v.dim,
-        "profile": to_jsonable(profile),
+        "profile": to_jsonable(bound_report.profile),
         "bound_report": to_jsonable(bound_report),
     }
     ok = bound_report.status == "PASS"
@@ -128,12 +126,10 @@ def _cmd_search(args):
     t0 = time.monotonic()
     guard = int(os.environ.get("CRLAB_MAX_N", DEFAULT_SEARCH_GUARD))
     report = search_max_dimension(args.n, args.k, trials=args.trials,
-                                  seed=args.seed, rules=args.rules,
-                                  jobs=args.jobs, max_n=guard)
+                                  seed=args.seed, rules=args.rules, max_n=guard)
     results = to_jsonable(report)
-    _emit(_report("search", {"n": args.n, "k": args.k, "rules": args.rules,
-                             "jobs": args.jobs}, results, t0,
-                  seed=args.seed, trials=args.trials), args.output)
+    _emit(_report("search", {"n": args.n, "k": args.k, "rules": args.rules},
+                  results, t0, seed=args.seed, trials=args.trials), args.output)
     return 0 if report.matches_bound else 1
 
 
@@ -223,7 +219,6 @@ def build_parser():
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--trials", type=int, default=32)
     s.add_argument("--seed", type=int, default=2024)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--rules", choices=("full", "three-case"), default="full")
     s.add_argument("-o", "--output")
     s.set_defaults(func=_cmd_search)

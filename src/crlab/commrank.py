@@ -2,11 +2,11 @@
 
 The maximum of rank[A, B] over V x V is attained on a Zariski-open set, so a
 few random integer-coefficient pairs hit it with overwhelming probability.
-Refutations ("some pair exceeds k") always carry an exact witness re-checked
-over Q; confirmations are only probable and record (trials, seed).  A prime
-field screen speeds up the refutation scan: reduction mod p can only lower a
-rank, so a modular rank above the threshold is already proof once the pair is
-re-checked exactly.
+Every sampled rank is exact: the basis is scaled once to integer rows, each
+commutator is formed over Python ints and ranked by fraction-free (Bareiss)
+elimination.  Refutations ("some pair exceeds k") therefore carry a witness
+whose rank is the exact rank over Q; confirmations are only probable and
+record (trials, seed).
 
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
 commutator of two generic elements are expanded as polynomials in the 2*dim
@@ -17,12 +17,12 @@ condition rather than sampling it.
 from __future__ import annotations
 
 import itertools
-import os
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import DEFAULT_PRIME, Mat, commutator
+from .linalg import Mat, _rank_bareiss, commutator
 
 __all__ = [
     "CommutatorProfile",
@@ -33,21 +33,9 @@ __all__ = [
     "dimension_bound",
     "check_dimension_bound",
     "certify_rank_condition_symbolic",
-    "screening_prime",
 ]
 
 DEFAULT_ENTRY_BOUND = 10 ** 6
-
-
-def screening_prime():
-    """Session screening prime; CRLAB_PRIME overrides the default."""
-    raw = os.environ.get("CRLAB_PRIME")
-    if raw is None:
-        return DEFAULT_PRIME
-    p = int(raw)
-    if p <= (1 << 30):
-        raise ValueError("screening prime must exceed 2^30")
-    return p
 
 
 @dataclass(frozen=True)
@@ -89,10 +77,60 @@ class BoundReport:
     note: str
 
 
-def _random_pair(v, rng, entry_bound):
-    a = v.random_element(rng, entry_bound)
-    b = v.random_element(rng, entry_bound)
-    return a, b
+def _sample(v, trials, seed, entry_bound, stop_above):
+    """Exact maximum of rank[A, B] over sampled pairs, with its first witness.
+
+    Each trial draws the d coefficients of A, then the d coefficients of B.
+    Sampling stops early once a rank exceeds ``stop_above``.  The basis is
+    scaled by the lcm of its denominators, which changes no commutator rank,
+    so the pairs are combined, commuted and ranked over Python ints; only the
+    returned witness is built as rational matrices.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n = v.n
+    scale = 1
+    for m in v.basis:
+        for x in m.data:
+            scale = math.lcm(scale, x.denominator)
+    rows = [[x.numerator * (scale // x.denominator) for x in m.data]
+            for m in v.basis]
+    rng = random.Random(seed)
+    best = -1
+    for _ in range(trials):
+        ca = [rng.randint(-entry_bound, entry_bound) for _ in rows]
+        cb = [rng.randint(-entry_bound, entry_bound) for _ in rows]
+        a, b = _combine(rows, ca, n), _combine(rows, cb, n)
+        r = _rank_bareiss(_commutator_rows(a, b, n))
+        if r > best:
+            best, pair = r, (a, b)
+            if best > stop_above:
+                break
+    witness = tuple(Mat(n, n, [Fraction(x, scale) for x in m]) for m in pair)
+    return best, witness
+
+
+def _combine(rows, coeffs, n):
+    acc = [0] * (n * n)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    acc[i] += c * x
+    return acc
+
+
+def _commutator_rows(a, b, n):
+    """AB - BA for flat row-major integer matrices, as a list of rows."""
+    cols_a = [a[j::n] for j in range(n)]
+    cols_b = [b[j::n] for j in range(n)]
+    out = []
+    for i in range(n):
+        ra, rb = a[i * n:(i + 1) * n], b[i * n:(i + 1) * n]
+        out.append([sum(x * y for x, y in zip(ra, cb))
+                    - sum(x * y for x, y in zip(rb, ca))
+                    for ca, cb in zip(cols_a, cols_b)])
+    return out
 
 
 def max_commutator_rank(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
@@ -101,69 +139,24 @@ def max_commutator_rank(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
     Exact ranks throughout, so certified_lower == probable_max and the stored
     pair reproduces it under recomputation.  Deterministic in (v, trials, seed).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    best = -1
-    best_pair = None
-    n = v.n
-    for _ in range(trials):
-        a, b = _random_pair(v, rng, entry_bound)
-        r = commutator(a, b).rank()
-        if r > best:
-            best = r
-            best_pair = (a, b)
-        if best == n:
-            break
+    best, witness = _sample(v, trials, seed, entry_bound, v.n - 1)
     return CommutatorProfile(probable_max=best, certified_lower=best,
-                             witness=best_pair, trials=trials, seed=seed)
+                             witness=witness, trials=trials, seed=seed)
 
 
-def satisfies_rank_condition(v, k, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND,
-                             prime=None):
+def satisfies_rank_condition(v, k, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
     """Decide "rank[A,B] <= k for all pairs" by sampling.
 
-    CERTIFIED_NO carries an exact witness pair (modular screen hits are
-    re-ranked over Q; mod-p rank never exceeds the rational rank, so a hit is
-    conclusive).  PROBABLE_YES records the trial budget.
+    CERTIFIED_NO carries the first sampled pair whose exact commutator rank
+    exceeds k.  PROBABLE_YES records the trial budget.
     """
-    n = v.n
-    if not 0 <= k < n:
+    if not 0 <= k < v.n:
         raise ValueError("need 0 <= k < n")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p = screening_prime() if prime is None else prime
-    rng = random.Random(seed)
-    basis_mod = [b.mod(p) for b in v.basis]
-    zero_mod = Mat.zero(n).mod(p)
-    d = v.dim
-    for _ in range(trials):
-        ca = [rng.randint(-entry_bound, entry_bound) for _ in range(d)]
-        cb = [rng.randint(-entry_bound, entry_bound) for _ in range(d)]
-        a_mod = zero_mod
-        b_mod = zero_mod
-        for c, bm in zip(ca, basis_mod):
-            if c:
-                a_mod = a_mod + bm * c
-        for c, bm in zip(cb, basis_mod):
-            if c:
-                b_mod = b_mod + bm * c
-        r_mod = commutator(a_mod, b_mod).rank()
-        if r_mod > k:
-            a = _combine(v.basis, ca, n)
-            b = _combine(v.basis, cb, n)
-            r = commutator(a, b).rank()
-            return RankVerdict("CERTIFIED_NO", k, trials, seed,
-                               witness=(a, b), witness_rank=r)
+    best, witness = _sample(v, trials, seed, entry_bound, k)
+    if best > k:
+        return RankVerdict("CERTIFIED_NO", k, trials, seed,
+                           witness=witness, witness_rank=best)
     return RankVerdict("PROBABLE_YES", k, trials, seed)
-
-
-def _combine(basis, coeffs, n):
-    acc = Mat.zero(n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            acc = acc + b * Fraction(c)
-    return acc
 
 
 def dimension_bound(n, k):

@@ -24,12 +24,12 @@ Closure rules (least fixpoint):
 The search maximizes dimension over all closed specs whose realized space
 passes the sampled rank condition, pruning specs that contain the bidiagonal
 staircase through index k+1 (their commutator witness exceeds rank k without
-any sampling).
+any sampling).  Specs are scanned one after another in descending dimension,
+and the rank that refutes a spec is exact over Q.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -344,19 +344,13 @@ def _evaluate_spec(spec, k, trials, seed):
     return "no" if verdict.certified_no else "yes"
 
 
-def _evaluate_batch(args):
-    specs, k, trials, seed = args
-    return [_evaluate_spec(s, k, trials, seed) for s in specs]
-
-
-def search_max_dimension(n, k, trials=32, seed=2024, rules="full", jobs=1,
+def search_max_dimension(n, k, trials=32, seed=2024, rules="full",
                          max_n=DEFAULT_SEARCH_GUARD):
     """Maximum dimension over closed specs passing the rank condition at k.
 
     Specs are processed in descending dimension, so the scan stops as soon as
     every remaining spec is smaller than the best passing one; pruned and
-    refuted counts are reported.  ``jobs`` > 1 evaluates batches of specs in
-    worker processes with a deterministic ordered merge.
+    refuted counts are reported.
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
@@ -368,61 +362,23 @@ def search_max_dimension(n, k, trials=32, seed=2024, rules="full", jobs=1,
     best = -1
     argmax = []
 
-    if jobs <= 1:
-        for spec in specs:
-            d = spec.dim
-            if d < best:
-                counts["skipped_below_max"] += 1
-                continue
-            res = _evaluate_spec(spec, k, trials, seed)
-            if res == "pruned":
-                counts["pruned"] += 1
-            elif res == "no":
-                counts["certified_no"] += 1
+    for spec in specs:
+        d = spec.dim
+        if d < best:
+            counts["skipped_below_max"] += 1
+            continue
+        res = _evaluate_spec(spec, k, trials, seed)
+        if res == "pruned":
+            counts["pruned"] += 1
+        elif res == "no":
+            counts["certified_no"] += 1
+        else:
+            counts["probable_yes"] += 1
+            if d > best:
+                best = d
+                argmax = [spec]
             else:
-                counts["probable_yes"] += 1
-                if d > best:
-                    best = d
-                    argmax = [spec]
-                else:
-                    argmax.append(spec)
-    else:
-        batch = 64
-        batches = [specs[i:i + batch] for i in range(0, len(specs), batch)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = []
-            bi = 0
-            done = False
-            while (pending or bi < len(batches)) and not done:
-                while bi < len(batches) and len(pending) < jobs * 2:
-                    b = batches[bi]
-                    if b[0].dim < best:
-                        counts["skipped_below_max"] += sum(len(x) for x in batches[bi:])
-                        done = True
-                        break
-                    pending.append((b, pool.submit(_evaluate_batch,
-                                                   (b, k, trials, seed))))
-                    bi += 1
-                if not pending:
-                    break
-                b, fut = pending.pop(0)
-                for spec, res in zip(b, fut.result()):
-                    if spec.dim < best:
-                        counts["skipped_below_max"] += 1
-                        continue
-                    if res == "pruned":
-                        counts["pruned"] += 1
-                    elif res == "no":
-                        counts["certified_no"] += 1
-                    else:
-                        counts["probable_yes"] += 1
-                        if spec.dim > best:
-                            best = spec.dim
-                            argmax = [spec]
-                        else:
-                            argmax.append(spec)
-            for b, fut in pending:
-                fut.cancel()
+                argmax.append(spec)
 
     return SearchReport(n=n, k=k, rules=rules, trials=trials, seed=seed,
                         bound=bound, max_dim=best, argmax=tuple(argmax),

@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over Q and over a prime field.
+"""Exact dense linear algebra over Q and over a simple extension Q(theta).
 
-Scalars are ``fractions.Fraction`` in rational mode and :class:`Fp` residues
-in prime-field mode (one fixed prime per session, used as a fast screening
-path; certificates are always re-checked rationally).  Matrices are immutable
-and hashable; every operation is a pure function, so concurrent use is safe.
+Scalars are ``fractions.Fraction`` in rational mode and number-field elements
+(:mod:`crlab.numberfield`) after an extension has been adjoined.  Matrices are
+immutable and hashable; every operation is a pure function, so concurrent use
+is safe.
 
 Rank and determinant over Q go through Bareiss fraction-free elimination on a
 denominator-cleared integer matrix, with the pivot chosen as the first nonzero
@@ -18,8 +18,6 @@ import random
 from fractions import Fraction
 
 __all__ = [
-    "DEFAULT_PRIME",
-    "Fp",
     "Mat",
     "SingularMatrixError",
     "commutator",
@@ -27,10 +25,8 @@ __all__ = [
     "random_matrix",
     "rref_rows",
     "mat_from_columns",
+    "complete_basis",
 ]
-
-# Largest Mersenne prime below 2**62; any prime > 2**30 is acceptable.
-DEFAULT_PRIME = (1 << 61) - 1
 
 
 class SingularMatrixError(ValueError):
@@ -48,92 +44,6 @@ def as_scalar(x):
     if isinstance(x, float):
         raise TypeError("floating-point entries are not allowed; use Fraction")
     return x
-
-
-class Fp:
-    """Residue modulo a fixed prime p > 2**30 (screening-mode scalar)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        if isinstance(other, Fraction):
-            den = pow(other.denominator % self.p, self.p - 2, self.p)
-            return (other.numerator % self.p) * den % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Fp(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Fp(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Fp(w - self.v, self.p)
-
-    def __mul__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Fp(self.v * w, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if w == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(w, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(w * pow(self.v, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, (int, Fraction)):
-            w = self._lift(other)
-            return self.v == w
-        return NotImplemented
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return f"Fp({self.v} mod {self.p})"
 
 
 _ZERO = Fraction(0)
@@ -214,6 +124,11 @@ class Mat:
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
+
+    def block(self, r0, r1, c0, c1):
+        """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
+        return Mat(r1 - r0, c1 - c0,
+                   tuple(self[i, j] for i in range(r0, r1) for j in range(c0, c1)))
 
     @property
     def is_square(self):
@@ -310,14 +225,6 @@ class Mat:
                     return False
         return True
 
-    def mod(self, p):
-        """Reduce a rational matrix modulo p (denominators must be units)."""
-        out = []
-        for x in self.data:
-            den = pow(x.denominator % p, p - 2, p) if x.denominator != 1 else 1
-            out.append(Fp((x.numerator % p) * den, p))
-        return Mat(self.rows, self.cols, out)
-
     # -- rank / kernel / determinant ----------------------------------------
 
     def _integer_rows(self):
@@ -345,14 +252,14 @@ class Mat:
     def det(self):
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        if isinstance(self.data[0], Fraction):
-            rows, scales = self._integer_rows()
-            d = _det_bareiss(rows)
-            out = Fraction(d)
-            for s in scales:
-                out /= s
-            return out
-        return _det_generic([list(self.row(i)) for i in range(self.rows)])
+        if not isinstance(self.data[0], Fraction):
+            raise ValueError("determinant is defined in rational mode only")
+        rows, scales = self._integer_rows()
+        d = _det_bareiss(rows)
+        out = Fraction(d)
+        for s in scales:
+            out /= s
+        return out
 
     def kernel_basis(self):
         """Basis of the right null space, as n-by-1 column matrices."""
@@ -392,7 +299,7 @@ class Mat:
         """Characteristic polynomial det(xI − M), little-endian coefficients.
 
         Faddeev–LeVerrier: the only divisions are by 1..n, which stay exact
-        over Q and over F_p with p > n.
+        over Q and over Q(theta).
         """
         if not self.is_square:
             raise ValueError("square matrices only")
@@ -429,16 +336,12 @@ class Mat:
 def _zero_like(x):
     if isinstance(x, Fraction):
         return _ZERO
-    if isinstance(x, Fp):
-        return Fp(0, x.p)
     return x.field.zero()
 
 
 def _one_like(x):
     if isinstance(x, Fraction):
         return _ONE
-    if isinstance(x, Fp):
-        return Fp(1, x.p)
     return x.field.one()
 
 
@@ -501,35 +404,11 @@ def _det_bareiss(rows):
     return sign * rows[n - 1][n - 1]
 
 
-def _det_generic(rows):
-    n = len(rows)
-    zero = _zero_like(rows[0][0])
-    det = _one_like(rows[0][0])
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det = det * pv
-        for i in range(c + 1, n):
-            f = rows[i][c] / pv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def rref_rows(rows):
     """Reduce rows in place to reduced row echelon form; return pivot columns.
 
     Works over any exact field whose elements support +, -, *, / and
-    truthiness (Fraction, Fp, number-field elements).
+    truthiness (Fraction, number-field elements).
     """
     m = len(rows)
     if m == 0:
@@ -633,13 +512,19 @@ def mat_from_columns(columns):
     return Mat(n, len(cols), tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
 
 
-def _poly_mul(p, q):
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
+def complete_basis(columns, n, one=_ONE):
+    """Extend independent n-by-1 columns to a basis of the whole space with
+    standard vectors; ``one`` is the unit of the columns' field."""
+    span = VectorSpan(n)
+    out = list(columns)
+    for c in columns:
+        span.add(c.data)
+    zero = one - one
+    for i in range(n):
+        e = [zero] * n
+        e[i] = one
+        if span.add(e):
+            out.append(Mat.column(e))
     return out
 
 

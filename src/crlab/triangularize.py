@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import Mat, VectorSpan, commutator, mat_from_columns
+from .linalg import Mat, VectorSpan, commutator, complete_basis, mat_from_columns
 from .numberfield import (ExtensionLimitError, NumberField,
                           irreducible_factors, roots_in_field)
 
@@ -244,27 +244,6 @@ def _is_invariant(mats, vectors):
     return None
 
 
-def _complete_basis(vectors, n, field):
-    """Extend independent columns to a basis using standard vectors."""
-    span = VectorSpan(n)
-    cols = list(vectors)
-    for u in vectors:
-        span.add(u.data)
-    one = _field_one(field)
-    zero = one - one
-    for i in range(n):
-        e = [zero] * n
-        e[i] = one
-        if span.add(e):
-            cols.append(Mat.column(e))
-    return cols
-
-
-def _block(m, r0, r1, c0, c1):
-    return Mat(r1 - r0, c1 - c0,
-               tuple(m[i, j] for i in range(r0, r1) for j in range(c0, c1)))
-
-
 def _triangularize_family(mats, n, field, rng):
     """Recursive flag construction; returns (P, field) with P^{-1} A P upper
     triangular for every A (over the possibly extended field)."""
@@ -282,11 +261,11 @@ def _triangularize_family(mats, n, field, rng):
             raise InvariantFailureError(b0, bad2[0], bad2[1])
         subspace = rng_cols
     m = len(subspace)
-    p1 = mat_from_columns(_complete_basis(subspace, n, field))
+    p1 = mat_from_columns(complete_basis(subspace, n, _field_one(field)))
     p1_inv = p1.inverse()
     conj = [p1_inv @ a @ p1 for a in mats]
-    tops = [_block(t, 0, m, 0, m) for t in conj]
-    bottoms = [_block(t, m, n, m, n) for t in conj]
+    tops = [t.block(0, m, 0, m) for t in conj]
+    bottoms = [t.block(m, n, m, n) for t in conj]
     p_top, field2 = _triangularize_family(tops, m, field, rng)
     if field2 is not field:
         bottoms = _lift(bottoms, field2)

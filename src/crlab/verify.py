@@ -21,7 +21,7 @@ from .commrank import dimension_bound, max_commutator_rank
 from .constructions import (commutative_exceptional_space, exceptional_extremal_space,
                             extremal_space, valid_splits)
 from .linalg import (Mat, VectorSpan, charpoly_discriminant, commutator,
-                     mat_from_columns)
+                     complete_basis, mat_from_columns)
 from .numberfield import irreducible_factors, rational_roots
 from .subspace import MatrixSubspace
 
@@ -145,10 +145,10 @@ def _match_block_form(w, k, seed):
     core = _commutator_core(w) if k else []
     if len(core) != k:
         return None
-    p1_cols = _complete(core, n)
+    p1_cols = complete_basis(core, n)
     p1 = mat_from_columns(p1_cols)
     p1_inv = p1.inverse()
-    quotient = [_block(p1_inv @ a @ p1, k, n, k, n) for a in w.basis]
+    quotient = [(p1_inv @ a @ p1).block(k, n, k, n) for a in w.basis]
     m = n - k
     strip = VectorSpan(m)
     for q in quotient:
@@ -159,7 +159,7 @@ def _match_block_form(w, k, seed):
     l = strip.dim
     if l in valid_splits(n, k) or (m == 1 and l == 0):
         mid_cols = [Mat.column(r) for r in strip.rows]
-        p2 = mat_from_columns(_complete(mid_cols, m))
+        p2 = mat_from_columns(complete_basis(mid_cols, m))
         witness = (p1 @ _embed_tail(p2, n, k)).inverse()
         target_l = l if l in valid_splits(n, k) else valid_splits(n, k)[0]
         target = extremal_space(n, k, target_l)
@@ -201,24 +201,6 @@ def _commutator_core(w):
                 if span.add(img.data):
                     grew = True
     return [Mat.column(r) for r in span.rows]
-
-
-def _complete(cols, n):
-    span = VectorSpan(n)
-    out = list(cols)
-    for c in cols:
-        span.add(c.data)
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        if span.add(e):
-            out.append(Mat.column(e))
-    return out
-
-
-def _block(mat, r0, r1, c0, c1):
-    return Mat(r1 - r0, c1 - c0,
-               tuple(mat[i, j] for i in range(r0, r1) for j in range(c0, c1)))
 
 
 def _embed_tail(p2, n, k):
@@ -319,14 +301,14 @@ def _match_nil1_plus_scalar(qspace, seed):
         line = (a - Mat.identity(3) * single).kernel_basis()
         if len(plane) != 2 or len(line) != 1:
             continue
-        basis_change = _complete(plane, 3)
+        basis_change = complete_basis(plane, 3)
         p_split = mat_from_columns(basis_change)
         p_split_inv = p_split.inverse()
         for b in qspace.basis:
             t = p_split_inv @ b @ p_split
             if any(t[i, j] for i in (2,) for j in (0, 1)):
                 continue  # plane not invariant under b: wrong split
-            block = _block(t, 0, 2, 0, 2)
+            block = t.block(0, 2, 0, 2)
             lam = block.trace() / 2
             nil = block - Mat.identity(2) * lam
             if nil.is_zero() or not (nil @ nil).is_zero():

@@ -109,15 +109,19 @@ def test_check_dimension_bound_underestimated_rank_is_flagged():
     assert "lower bound" in report.note
 
 
-def test_screening_prime_env_override(monkeypatch):
-    from crlab.commrank import screening_prime
-    monkeypatch.setenv("CRLAB_PRIME", str((1 << 31) - 1))
-    assert screening_prime() == (1 << 31) - 1
-    verdict = satisfies_rank_condition(full_space(3), 1, 16, 3)
-    assert verdict.status == "CERTIFIED_NO"
-    monkeypatch.setenv("CRLAB_PRIME", "97")
-    with pytest.raises(ValueError):
-        screening_prime()
+def test_rank_condition_ignores_composite_modulus_env(monkeypatch):
+    # a composite modulus in CRLAB_PRIME must not yield refutations at k = 1
+    monkeypatch.setenv("CRLAB_PRIME", str(1 << 31))
+    rng = random.Random(43)
+    base = extremal_space(4, 1, 1)
+    done = 0
+    while done < 20:
+        q = random_matrix(4, 4, 5, rng.randint(0, 10 ** 6))
+        if q.det() == 0:
+            continue
+        verdict = satisfies_rank_condition(base.conjugate(q), 1, 16, done)
+        assert verdict.status == "PROBABLE_YES"
+        done += 1
 
 
 def test_check_dimension_bound_subspace_inherits():

@@ -158,13 +158,6 @@ def test_search_determinism():
     assert a.max_dim == b.max_dim and a.argmax == b.argmax
 
 
-def test_search_parallel_merge_matches_serial():
-    serial = search_max_dimension(4, 1, trials=16, seed=5)
-    parallel = search_max_dimension(4, 1, trials=16, seed=5, jobs=2)
-    assert serial.max_dim == parallel.max_dim
-    assert serial.argmax == parallel.argmax
-
-
 def test_staircase_prune_detects_witness_pattern():
     spec = _scalars_spec(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
     assert has_bidiagonal_staircase(spec, 1)

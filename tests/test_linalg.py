@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlab.linalg import (DEFAULT_PRIME, Mat, SingularMatrixError,
-                          charpoly_discriminant, commutator, mat_from_columns,
-                          random_matrix)
+from crlab.linalg import (Mat, SingularMatrixError, charpoly_discriminant,
+                          commutator, mat_from_columns, random_matrix)
+from crlab.numberfield import NumberField
 
 
 def E(n, i, j):
@@ -67,7 +68,7 @@ def test_charpoly_known_matrix():
 
 
 def test_discriminant_rejects_prime_mode():
-    m = Mat.identity(2).mod(DEFAULT_PRIME)
+    m = NumberField([1, 0, 1]).embed_matrix(Mat.identity(2))  # over Q(i)
     with pytest.raises(ValueError):
         charpoly_discriminant(m)
 
@@ -107,12 +108,28 @@ def test_rank_invariant_under_invertible_factors():
         assert (p @ m @ q).rank() == m.rank()
 
 
-def test_rational_vs_prime_rank_agreement():
-    # entries well below p: reduction cannot collapse the rank in practice
-    rng = random.Random(17)
-    for _ in range(1000):
-        m = random_matrix(4, 4, 100, rng.randint(0, 10 ** 9))
-        assert m.rank() == m.mod(DEFAULT_PRIME).rank()
+_ENTRY = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=7))
+_SQUARE = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SQUARE)
+def test_rank_det_inverse_agree_with_sympy(rows):
+    m = Mat.from_rows(rows)
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                        for r in rows])
+    assert m.rank() == ref.rank()
+    det = m.det()
+    assert sympy.Rational(det.numerator, det.denominator) == ref.det()
+    if det:
+        inv = m.inverse()
+        assert [[sympy.Rational(x.numerator, x.denominator) for x in inv.row(i)]
+                for i in range(m.rows)] == ref.inv().tolist()
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
 
 
 def test_distinct_eigenvalues_imply_full_krylov_rank():
