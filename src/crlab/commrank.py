@@ -17,7 +17,6 @@ condition rather than sampling it.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,12 +88,7 @@ def _sample(v, trials, seed, entry_bound, stop_above):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = v.n
-    scale = 1
-    for m in v.basis:
-        for x in m.data:
-            scale = math.lcm(scale, x.denominator)
-    rows = [[x.numerator * (scale // x.denominator) for x in m.data]
-            for m in v.basis]
+    scale, rows = v.integer_basis()
     rng = random.Random(seed)
     best = -1
     for _ in range(trials):

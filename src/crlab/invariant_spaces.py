@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .commrank import dimension_bound, satisfies_rank_condition
 from .linalg import Mat, rref_rows
@@ -49,7 +50,7 @@ __all__ = [
     "diagonal_space",
 ]
 
-DEFAULT_SEARCH_GUARD = 6
+DEFAULT_SEARCH_GUARD = 7
 
 
 @dataclass(frozen=True)
@@ -129,57 +130,59 @@ def _rule_targets(n, i, j, rules):
     return out
 
 
+@lru_cache(maxsize=32)
+def _closure_masks(n, rules):
+    """The off-diagonal positions and, per position, the bitmask of positions
+    it forces: R1-R3, plus for a lower (i, j) the upper pairs touching i or j
+    that its difference forces through R4.  Cached per (n, rules)."""
+    pos = tuple((i, j) for i in range(n) for j in range(n) if i != j)
+    index = {p: b for b, p in enumerate(pos)}
+    masks = []
+    for (i, j) in pos:
+        targets = _rule_targets(n, i, j, rules)
+        if i > j:
+            targets.update((p, q) for (p, q) in pos if p < q and {p, q} & {i, j})
+        masks.append(sum(1 << index[t] for t in targets))
+    return pos, tuple(masks)
+
+
+def _close_mask(mask, masks):
+    """Least superset of ``mask`` that contains masks[b] for each bit b in it."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = masks[low.bit_length() - 1] & ~mask
+        mask |= new
+        todo |= new
+    return mask
+
+
+def _units_of(mask, pos):
+    return frozenset(p for b, p in enumerate(pos) if mask >> b & 1)
+
+
 def triangular_closure(spec, rules="full"):
-    """Least invariant spec containing the input (a closure operator)."""
+    """Least invariant spec containing the input (a closure operator).
+
+    R4 turns the input partition and differences into fixed upper pairs; the
+    units are the closure of those and the input units, and each lower unit
+    adds its difference unless the partition holds it (two singleton blocks).
+    """
     if rules not in ("full", "three-case"):
         raise ValueError("rules must be 'full' or 'three-case'")
-    n = spec.n
-    units = set(spec.units)
-    diffs = set(spec.forced_diffs)
-    blocks = [set(b) for b in spec.diag_blocks]
-    block_of = {}
-    for bi, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = bi
-
-    while True:
-        new_units = set()
-        for (i, j) in units:
-            new_units |= _rule_targets(n, i, j, rules) - units
-        for (i, j) in units:
-            if i > j:
-                d = (i, j)
-                if d not in diffs and not _diff_in_partition(d, block_of):
-                    diffs.add(d)
-        # R4 for partition generators: pairs crossing two blocks
-        for p in range(n):
-            for q in range(p + 1, n):
-                if block_of[p] != block_of[q] and (p, q) not in units:
-                    new_units.add((p, q))
-        # R4 for difference generators: pairs touching a difference index
-        touched = {x for d in diffs for x in d}
-        for x in touched:
-            for y in range(n):
-                if y == x:
-                    continue
-                pq = (min(x, y), max(x, y))
-                if pq not in units:
-                    new_units.add(pq)
-        if not new_units:
-            break
-        units |= new_units
-
-    diffs = {d for d in diffs if not _diff_in_partition(d, block_of)}
-    return InvariantSpaceSpec(n, frozenset(units), _canonical_blocks(blocks),
+    pos, masks = _closure_masks(spec.n, rules)
+    block_of = {x: bi for bi, b in enumerate(spec.diag_blocks) for x in b}
+    touched = {x for d in spec.forced_diffs for x in d}
+    seed = sum(1 << b for b, (p, q) in enumerate(pos) if (p, q) in spec.units
+               or p < q and (block_of[p] != block_of[q] or {p, q} & touched))
+    units = _units_of(_close_mask(seed, masks), pos)
+    singletons = {b[0] for b in spec.diag_blocks if len(b) == 1}
+    lower = {(i, j) for (i, j) in units if i > j}
+    diffs = {(i, j) for (i, j) in spec.forced_diffs | lower
+             if not (i in singletons and j in singletons)}
+    return InvariantSpaceSpec(spec.n, units, _canonical_blocks(spec.diag_blocks),
                               frozenset(diffs))
-
-
-def _diff_in_partition(d, block_of):
-    i, j = d
-    # e_i - e_j lies in the partition space iff {i} and {j} are singletons
-    bi = [x for x, b in block_of.items() if b == block_of[i]]
-    bj = [x for x, b in block_of.items() if b == block_of[j]]
-    return len(bi) == 1 and len(bj) == 1
 
 
 # -- invariance predicate --------------------------------------------------------
@@ -216,30 +219,6 @@ def is_triangular_invariant(v):
 
 # -- enumeration ------------------------------------------------------------------
 
-def _positions(n):
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _closure_masks(n, rules):
-    """Per-position implication bitmasks (R1, R2, R3 plus the touch rule that
-    a lower position's forced difference imposes through R4)."""
-    pos = _positions(n)
-    index = {p: b for b, p in enumerate(pos)}
-    masks = []
-    for (i, j) in pos:
-        m = 0
-        for t in _rule_targets(n, i, j, rules):
-            m |= 1 << index[t]
-        if i > j:
-            for x in (i, j):
-                for y in range(n):
-                    if y != x:
-                        pq = (min(x, y), max(x, y))
-                        m |= 1 << index[pq]
-        masks.append(m)
-    return pos, masks
-
-
 def _set_partitions(items):
     """All partitions of a list, deterministically ordered."""
     if not items:
@@ -255,31 +234,28 @@ def _set_partitions(items):
 def enumerate_invariant_spaces(n, rules="full", max_n=DEFAULT_SEARCH_GUARD):
     """Yield every closed spec exactly once.
 
-    Subsets S of the off-diagonal positions run in bitmask order; S survives
-    iff it is a closure fixpoint.  For each surviving S the diagonal part
-    ranges over all partitions that merge only blocks allowed by R4: indices
-    touched by a lower position stay singletons (their differences are
-    forced), and any two indices joined by a missing upper pair stay in one
-    block.
+    The closed position sets are found directly: starting from the empty
+    set, each one found is extended by one position and closed again, so
+    every closed set C is reached along a chain inside C.  They are yielded
+    in ascending bitmask order.  For each set S the diagonal part ranges over
+    all partitions that merge only blocks allowed by R4: indices touched by a
+    lower position stay singletons (their differences are forced), and any
+    two indices joined by a missing upper pair stay in one block.
     """
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the resource guard {max_n}; override max_n to force")
     pos, masks = _closure_masks(n, rules)
-    nbits = len(pos)
-    for mask in range(1 << nbits):
-        implied = 0
-        m = mask
-        while m:
-            low = m & -m
-            implied |= masks[low.bit_length() - 1]
-            m ^= low
-            if implied & ~mask:
-                break
-        if implied & ~mask:
-            continue
-        units = {pos[b] for b in range(nbits) if mask >> b & 1}
-        yield from _specs_for_units(n, units)
+    closed, frontier = {0}, [0]
+    while frontier:
+        mask = frontier.pop()
+        for b in range(len(pos)):
+            c = _close_mask(mask | 1 << b, masks)
+            if c not in closed:
+                closed.add(c)
+                frontier.append(c)
+    for mask in sorted(closed):
+        yield from _specs_for_units(n, _units_of(mask, pos))
 
 
 def _specs_for_units(n, units):
@@ -305,10 +281,9 @@ def _specs_for_units(n, units):
     forced = {x for (i, j) in units if i > j for x in (i, j)}
     fixed = [c for c in comps if len(c) == 1 and c[0] in forced]
     merge_pool = [c for c in comps if not (len(c) == 1 and c[0] in forced)]
-    units_f = frozenset(units)
     for grouping in _set_partitions(merge_pool):
         blocks = fixed + [sum(g, []) for g in grouping]
-        yield InvariantSpaceSpec(n, units_f, _canonical_blocks(blocks))
+        yield InvariantSpaceSpec(n, units, _canonical_blocks(blocks))
 
 
 # -- the exhaustive bound search ---------------------------------------------------

@@ -9,6 +9,7 @@ and the square-only predicates guard themselves.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .linalg import Mat, rref_rows
@@ -68,6 +69,13 @@ class MatrixSubspace:
                            for b in self.basis)
             object.__setattr__(self, "_pivot_cache", pivots)
         return self._pivot_cache
+
+    def integer_basis(self):
+        """(L, rows): L is the lcm of the basis denominators and rows[p] is
+        L times the p-th canonical basis element as a flat list of ints."""
+        scale = math.lcm(*(x.denominator for b in self.basis for x in b.data))
+        return scale, [[x.numerator * (scale // x.denominator) for x in b.data]
+                       for b in self.basis]
 
     def _reduce(self, m):
         """Residual of m after elimination against the canonical basis."""
@@ -149,12 +157,32 @@ class MatrixSubspace:
     # -- algebraic predicates --------------------------------------------------
 
     def is_algebra(self):
-        """Closed under products?  Checking basis pairs suffices by bilinearity."""
+        """Closed under products?  Checking basis pairs suffices by bilinearity.
+
+        Over the integer rows B_p = L b_p, a product P = B_i B_j lies in the
+        space iff L P == sum_p P[pivot_p] B_p, because every canonical basis
+        element is 1 at its own pivot and 0 at the others.
+        """
         if not self.is_square:
             raise ValueError("square spaces only")
-        for a in self.basis:
-            for b in self.basis:
-                if not self.contains(a @ b):
+        n = self.n
+        scale, rows = self.integer_basis()
+        pivots = self._pivots()
+        for a in rows:
+            for b in rows:
+                prod = []
+                for i in range(0, n * n, n):
+                    row = [0] * n
+                    for t, x in enumerate(a[i:i + n]):
+                        if x:
+                            row = [r + x * y for r, y in zip(row, b[t * n:t * n + n])]
+                    prod += row
+                resid = [scale * x for x in prod]
+                for r, p in zip(rows, pivots):
+                    f = prod[p]
+                    if f:
+                        resid = [x - f * y for x, y in zip(resid, r)]
+                if any(resid):
                     return False
         return True
 

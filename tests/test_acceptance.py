@@ -2,7 +2,7 @@
 
 Everything asserted here is exact (integer or rational equality); the only
 probabilistic ingredients are sampled rank levels, whose trial counts and
-seeds are pinned below.  The n = 5 exhaustive search runs under the ``long``
+seeds are pinned below.  The n = 7 exhaustive search runs under the ``long``
 marker: ``pytest -m long`` (everything else: ``pytest -m "not long"`` or a
 plain ``pytest``, which runs both).
 """
@@ -121,14 +121,32 @@ def test_criterion_5_search_reproduces_bound_small():
     _ok("5 exhaustive search matches the bound for n in {2,3,4}, all k", t0)
 
 
-@pytest.mark.long
-def test_criterion_5_search_reproduces_bound_n5_long():
+def test_criterion_5_search_reproduces_bound_n5():
     t0 = time.monotonic()
     for k in range(5):
         _check_search(5, k, trials=32, seed=2024)
     elapsed = time.monotonic() - t0
+    assert elapsed < 60.0
+    _ok("5 exhaustive search matches the bound for n = 5, all k", t0)
+
+
+def test_criterion_5_search_reproduces_bound_n6():
+    t0 = time.monotonic()
+    for k in range(6):
+        _check_search(6, k, trials=32, seed=2024)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0
+    _ok("5 exhaustive search matches the bound for n = 6, all k", t0)
+
+
+@pytest.mark.long
+def test_criterion_5_search_reproduces_bound_n7_long():
+    t0 = time.monotonic()
+    for k in range(7):
+        _check_search(7, k, trials=32, seed=2024)
+    elapsed = time.monotonic() - t0
     assert elapsed < 1800.0
-    _ok("5L exhaustive search matches the bound for n = 5, all k", t0)
+    _ok("5L exhaustive search matches the bound for n = 7, all k", t0)
 
 
 def test_criterion_6_triangularization_corpus():

@@ -5,7 +5,8 @@ import pytest
 
 from crlab.commrank import dimension_bound, satisfies_rank_condition
 from crlab.constructions import extremal_space, schur_space
-from crlab.invariant_spaces import (InvariantSpaceSpec, enumerate_invariant_spaces,
+from crlab.invariant_spaces import (InvariantSpaceSpec, _closure_masks,
+                                    _specs_for_units, enumerate_invariant_spaces,
                                     has_bidiagonal_staircase,
                                     is_triangular_invariant,
                                     search_max_dimension, split_bound,
@@ -53,6 +54,24 @@ def test_closure_is_extensive_monotone_idempotent():
                 (0, 1))}))
             cb = triangular_closure(bigger)
             assert c.units <= cb.units
+
+
+def test_closure_with_partition_and_differences_is_invariant():
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.choice((2, 3, 4))
+        blocks = [[] for _ in range(n)]
+        for x in range(n):
+            blocks[rng.randrange(n)].append(x)
+        diffs = frozenset((i, j) for i in range(n) for j in range(i)
+                          if rng.random() < 0.15)
+        spec = InvariantSpaceSpec(n, _random_spec(n, rng).units,
+                                  tuple(tuple(b) for b in blocks if b), diffs)
+        for rules in ("full", "three-case"):
+            c = triangular_closure(spec, rules)
+            assert spec.realize() <= c.realize()
+            assert triangular_closure(c, rules) == c
+            assert is_triangular_invariant(c.realize())
 
 
 def test_closure_three_case_is_weaker():
@@ -126,11 +145,40 @@ def test_enumerated_specs_closed_and_invariant():
         assert is_triangular_invariant(spec.realize())
 
 
+def _scan_all_masks(n, rules):
+    """Reference enumerator: test all 2^(n(n-1)) position subsets for being
+    closure fixpoints, in bitmask order."""
+    pos, masks = _closure_masks(n, rules)
+    for mask in range(1 << len(pos)):
+        implied = 0
+        for b in range(len(pos)):
+            if mask >> b & 1:
+                implied |= masks[b]
+        if not implied & ~mask:
+            yield from _specs_for_units(
+                n, frozenset(pos[b] for b in range(len(pos)) if mask >> b & 1))
+
+
+@pytest.mark.parametrize("rules", ["full", "three-case"])
+def test_enumerate_matches_mask_scan_in_order(rules):
+    assert list(enumerate_invariant_spaces(4, rules=rules)) == \
+        list(_scan_all_masks(4, rules))
+
+
+def test_enumerate_counts():
+    closed = {2: 3, 3: 9, 4: 29, 5: 97, 6: 333}
+    specs = {2: 4, 3: 15, 4: 63, 5: 282, 6: 1338}
+    for n in range(2, 7):
+        found = list(enumerate_invariant_spaces(n))
+        assert len({s.units for s in found}) == closed[n]
+        assert len(found) == specs[n]
+
+
 def test_enumerate_guard():
     with pytest.raises(ValueError):
-        list(enumerate_invariant_spaces(7))
+        list(enumerate_invariant_spaces(8))
     with pytest.raises(ValueError):
-        next(iter(enumerate_invariant_spaces(7)))
+        next(iter(enumerate_invariant_spaces(8)))
 
 
 def test_enumerate_unique():

@@ -4,7 +4,7 @@ import pytest
 
 from crlab.linalg import Mat, SingularMatrixError, random_matrix
 from crlab.subspace import full_space, span, zero_space
-from crlab.constructions import schur_space, extremal_space
+from crlab.constructions import extremal_space, schur_space, valid_splits
 
 
 def E(n, i, j):
@@ -84,6 +84,23 @@ def test_is_algebra_examples():
     assert extremal_space(5, 2, 1).is_algebra()
     assert not span([E(2, 0, 1), E(2, 1, 0)]).is_algebra()
     assert full_space(3).is_algebra()
+
+
+def test_is_algebra_agrees_with_definition():
+    rng = random.Random(43)
+    spaces = [zero_space(3), full_space(2)]
+    for n, k in ((3, 1), (4, 0), (4, 2), (5, 1), (5, 3)):
+        q = Mat.identity(n)
+        while q.det() in (0, 1, -1):  # a rational inverse puts denominators in the basis
+            q = random_matrix(n, n, 3, rng.randint(0, 10 ** 6))
+        alg = extremal_space(n, k, valid_splits(n, k)[0]).conjugate(q)
+        spaces += [alg, span(alg.basis[1:]), alg.sum(span([q @ E(n, n - 1, 0)]))]
+        spaces.append(span([random_matrix(n, n, 4, rng.randint(0, 10 ** 6))
+                            for _ in range(n)]))
+    answers = [v.is_algebra() for v in spaces]
+    assert answers == [all(v.contains(a @ b) for a in v.basis for b in v.basis)
+                       for v in spaces]
+    assert True in answers and False in answers
 
 
 def test_is_jordan_closed_examples():
