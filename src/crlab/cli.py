@@ -126,7 +126,7 @@ def _cmd_search(args):
     t0 = time.monotonic()
     guard = int(os.environ.get("CRLAB_MAX_N", DEFAULT_SEARCH_GUARD))
     report = search_max_dimension(args.n, args.k, trials=args.trials,
-                                  seed=args.seed, rules=args.rules, max_n=guard)
+                                  seed=args.seed, max_n=guard)
     results = to_jsonable(report)
     _emit(_report("search", {"n": args.n, "k": args.k, "rules": args.rules},
                   results, t0, seed=args.seed, trials=args.trials), args.output)
@@ -219,7 +219,8 @@ def build_parser():
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--trials", type=int, default=32)
     s.add_argument("--seed", type=int, default=2024)
-    s.add_argument("--rules", choices=("full", "three-case"), default="full")
+    s.add_argument("--rules", choices=("full",), default="full",
+                   help="the closure rule set ('full' is the only one)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=_cmd_search)
 

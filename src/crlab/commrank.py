@@ -9,8 +9,8 @@ whose rank is the exact rank over Q; confirmations are only probable and
 record (trials, seed).
 
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
-commutator of two generic elements are expanded as polynomials in the 2*dim
-coordinates and tested for identical vanishing, which decides the rank
+commutator of two generic elements are computed by sympy as polynomials in the
+2*dim coordinates and tested for identical vanishing, which decides the rank
 condition rather than sampling it.
 """
 
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, _rank_bareiss, commutator
+from .linalg import Mat, _bareiss
 
 __all__ = [
     "CommutatorProfile",
@@ -95,7 +95,7 @@ def _sample(v, trials, seed, entry_bound, stop_above):
         ca = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         cb = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         a, b = _combine(rows, ca, n), _combine(rows, cb, n)
-        r = _rank_bareiss(_commutator_rows(a, b, n))
+        r = _bareiss(_commutator_rows(a, b, n))[0]
         if r > best:
             best, pair = r, (a, b)
             if best > stop_above:
@@ -188,80 +188,32 @@ def check_dimension_bound(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
 
 # -- exhaustive symbolic mode (n <= 3) ---------------------------------------
 
-def _poly_add_term(poly, mono, coeff):
-    c = poly.get(mono, Fraction(0)) + coeff
-    if c:
-        poly[mono] = c
-    elif mono in poly:
-        del poly[mono]
-
-
-def _poly_mul(p, q, nvars):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
-            _poly_add_term(out, mono, c1 * c2)
-    return out
-
-
-def _symbolic_commutator(v):
-    """Entries of [A(a), B(b)] as polynomials in the 2*dim coordinates."""
-    d = v.dim
-    n = v.n
-    nvars = 2 * d
-    entries = [[{} for _ in range(n)] for _ in range(n)]
-    for i, bi in enumerate(v.basis):
-        for j, bj in enumerate(v.basis):
-            if i == j:
-                continue
-            cij = commutator(bi, bj)
-            mono = [0] * nvars
-            mono[i] += 1          # a_i
-            mono[d + j] += 1      # b_j
-            mono = tuple(mono)
-            for r in range(n):
-                for c in range(n):
-                    x = cij[r, c]
-                    if x:
-                        _poly_add_term(entries[r][c], mono, x)
-    return entries, nvars
-
-
-def _symbolic_det(entries, rows, cols, nvars):
-    m = len(rows)
-    if m == 1:
-        return entries[rows[0]][cols[0]]
-    acc = {}
-    for perm in itertools.permutations(range(m)):
-        inv = sum(1 for x in range(m) for y in range(x + 1, m) if perm[x] > perm[y])
-        sign = Fraction(-1) if inv % 2 else Fraction(1)
-        term = {(0,) * nvars: sign}
-        for r, pc in enumerate(perm):
-            term = _poly_mul(term, entries[rows[r]][cols[pc]], nvars)
-            if not term:
-                break
-        for mono, c in term.items():
-            _poly_add_term(acc, mono, c)
-    return acc
-
-
 def certify_rank_condition_symbolic(v, k):
     """Exhaustively decide the rank condition for n <= 3.
 
     Returns True iff every (k+1)-minor of the commutator of two generic
     members vanishes identically, which certifies rank[A,B] <= k for ALL
-    pairs, not just sampled ones.
+    pairs, not just sampled ones.  The generic members are sympy matrices
+    over the polynomial ring QQ[a_1..a_d, b_1..b_d].
     """
     n = v.n
     if n > 3:
         raise ValueError("symbolic certification is limited to n <= 3")
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    entries, nvars = _symbolic_commutator(v)
-    size = k + 1
-    for rows in itertools.combinations(range(n), size):
-        for cols in itertools.combinations(range(n), size):
-            if _symbolic_det(entries, rows, cols, nvars):
-                return False
-    return True
+    from sympy import QQ, symbols  # imported here: sympy is slow to load
+    from sympy.polys.matrices import DomainMatrix
+
+    d = v.dim
+    ring = QQ[symbols(f"a:{d}") + symbols(f"b:{d}")]
+    _, ints = v.integer_basis()  # a common scale changes no minor's vanishing
+
+    def generic(coords):
+        entries = [sum((x * r[i] for x, r in zip(coords, ints)), ring.zero)
+                   for i in range(n * n)]
+        return DomainMatrix([entries[i:i + n] for i in range(0, n * n, n)], (n, n), ring)
+
+    a, b = generic(ring.gens[:d]), generic(ring.gens[d:])
+    c = a * b - b * a
+    lines = [list(t) for t in itertools.combinations(range(n), k + 1)]
+    return all(c.extract(rows, cols).det() == 0 for rows in lines for cols in lines)

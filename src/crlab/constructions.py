@@ -151,7 +151,7 @@ def rank_one_max_space(n, variant, l=None):
             raise ValueError(f"variant {variant!r} requires n = {need_n}")
         inner = list(commutative_exceptional_space(m, tag).basis)
     mats = [Mat.unit(n, 0, j) for j in range(n)]
-    mats += [_southeast_embed(b, n) for b in inner]
+    mats += [southeast_embed(b, n) for b in inner]
     return MatrixSubspace.span(mats, n, n)
 
 
@@ -161,16 +161,16 @@ def _schur_block_mats(m, l):
     return mats
 
 
-def _southeast_embed(b, n):
+def southeast_embed(b, n, head=0):
+    """The n-by-n matrix block_diag(head * I, b), b square."""
     m = b.rows
     off = n - m
-    acc = Mat.zero(n)
+    data = [Fraction(0)] * (n * n)
+    for i in range(off):
+        data[i * n + i] = Fraction(head)
     for i in range(m):
-        for j in range(m):
-            x = b[i, j]
-            if x:
-                acc = acc + Mat.unit(n, off + i, off + j) * x
-    return acc
+        data[(off + i) * n + off:(off + i + 1) * n] = b.row(i)
+    return Mat(n, n, data)
 
 
 def exceptional_extremal_space(n, k, tag):
@@ -181,7 +181,7 @@ def exceptional_extremal_space(n, k, tag):
     if tag not in _EXCEPTIONAL_TAGS_BY_SIZE.get(m, ()):
         raise ValueError(f"tag {tag!r} does not apply at n-k = {m}")
     mats = [Mat.unit(n, i, j) for i in range(k) for j in range(n)]
-    mats += [_southeast_embed(b, n) for b in commutative_exceptional_space(m, tag).basis]
+    mats += [southeast_embed(b, n) for b in commutative_exceptional_space(m, tag).basis]
     return MatrixSubspace.span(mats, n, n)
 
 

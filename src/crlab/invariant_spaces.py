@@ -11,10 +11,10 @@ a space whose partition does not already contain it.
 Closure rules (least fixpoint):
 
   R1  upper (i,j) in S        ->  the whole rectangle k <= i, l >= j joins S
-  R2  lower (i,j) in S        ->  (p,j) for p < i and (i,q) for q > j join S
-                                  (three-case mode restricts p, q to the open
-                                  interval between j and i), and the diagonal
-                                  difference e_i - e_j joins D
+  R2  lower (i,j) in S        ->  (p,j) for p < i and (i,q) for q > j join S,
+                                  and the diagonal difference e_i - e_j joins
+                                  D (the upper ones among these pairs touch i
+                                  or j, so R4 on e_i - e_j adds them anyway)
   R3  lower (i,j) in S        ->  the mirror (j,i) joins S
   R4  d in D with d_p != d_q  ->  the upper pair (p,q) joins S; for partition
                                   generators that is every pair crossing two
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .commrank import dimension_bound, satisfies_rank_condition
-from .linalg import Mat, rref_rows
+from .linalg import Mat, VectorSpan
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -75,8 +75,7 @@ class InvariantSpaceSpec:
 
     @property
     def diag_dim(self):
-        work = [list(g) for g in _diag_generators(self)]
-        return len(rref_rows(work))
+        return VectorSpan(self.n, _diag_generators(self)).dim
 
     @property
     def dim(self):
@@ -113,33 +112,29 @@ def _canonical_blocks(blocks):
 
 # -- closure -------------------------------------------------------------------
 
-def _rule_targets(n, i, j, rules):
+def _rule_targets(n, i, j):
     """Positions forced by a single unit at (i, j) (diagonal effects excluded)."""
     out = set()
     if i < j:
         out.update((p, q) for p in range(i + 1) for q in range(j, n) if p != q)
     else:
         out.add((j, i))
-        if rules == "full":
-            out.update((p, j) for p in range(i) if p != j)
-            out.update((i, q) for q in range(j + 1, n) if q != i)
-        else:  # positions strictly between the two indices only
-            out.update((p, j) for p in range(j + 1, i))
-            out.update((i, q) for q in range(j + 1, i))
+        out.update((p, j) for p in range(i) if p != j)
+        out.update((i, q) for q in range(j + 1, n) if q != i)
     out.discard((i, j))
     return out
 
 
 @lru_cache(maxsize=32)
-def _closure_masks(n, rules):
+def _closure_masks(n):
     """The off-diagonal positions and, per position, the bitmask of positions
     it forces: R1-R3, plus for a lower (i, j) the upper pairs touching i or j
-    that its difference forces through R4.  Cached per (n, rules)."""
+    that its difference forces through R4.  Cached per n."""
     pos = tuple((i, j) for i in range(n) for j in range(n) if i != j)
     index = {p: b for b, p in enumerate(pos)}
     masks = []
     for (i, j) in pos:
-        targets = _rule_targets(n, i, j, rules)
+        targets = _rule_targets(n, i, j)
         if i > j:
             targets.update((p, q) for (p, q) in pos if p < q and {p, q} & {i, j})
         masks.append(sum(1 << index[t] for t in targets))
@@ -162,16 +157,14 @@ def _units_of(mask, pos):
     return frozenset(p for b, p in enumerate(pos) if mask >> b & 1)
 
 
-def triangular_closure(spec, rules="full"):
+def triangular_closure(spec):
     """Least invariant spec containing the input (a closure operator).
 
     R4 turns the input partition and differences into fixed upper pairs; the
     units are the closure of those and the input units, and each lower unit
     adds its difference unless the partition holds it (two singleton blocks).
     """
-    if rules not in ("full", "three-case"):
-        raise ValueError("rules must be 'full' or 'three-case'")
-    pos, masks = _closure_masks(spec.n, rules)
+    pos, masks = _closure_masks(spec.n)
     block_of = {x: bi for bi, b in enumerate(spec.diag_blocks) for x in b}
     touched = {x for d in spec.forced_diffs for x in d}
     seed = sum(1 << b for b, (p, q) in enumerate(pos) if (p, q) in spec.units
@@ -231,7 +224,7 @@ def _set_partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def enumerate_invariant_spaces(n, rules="full", max_n=DEFAULT_SEARCH_GUARD):
+def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD):
     """Yield every closed spec exactly once.
 
     The closed position sets are found directly: starting from the empty
@@ -245,7 +238,7 @@ def enumerate_invariant_spaces(n, rules="full", max_n=DEFAULT_SEARCH_GUARD):
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the resource guard {max_n}; override max_n to force")
-    pos, masks = _closure_masks(n, rules)
+    pos, masks = _closure_masks(n)
     closed, frontier = {0}, [0]
     while frontier:
         mask = frontier.pop()
@@ -301,7 +294,6 @@ def has_bidiagonal_staircase(spec, k):
 class SearchReport:
     n: int
     k: int
-    rules: str
     trials: int
     seed: int
     bound: int
@@ -319,8 +311,7 @@ def _evaluate_spec(spec, k, trials, seed):
     return "no" if verdict.certified_no else "yes"
 
 
-def search_max_dimension(n, k, trials=32, seed=2024, rules="full",
-                         max_n=DEFAULT_SEARCH_GUARD):
+def search_max_dimension(n, k, trials=32, seed=2024, max_n=DEFAULT_SEARCH_GUARD):
     """Maximum dimension over closed specs passing the rank condition at k.
 
     Specs are processed in descending dimension, so the scan stops as soon as
@@ -329,16 +320,15 @@ def search_max_dimension(n, k, trials=32, seed=2024, rules="full",
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    specs = sorted(enumerate_invariant_spaces(n, rules=rules, max_n=max_n),
-                   key=lambda s: (-s.dim, s.sort_key()))
+    specs = sorted(((s.dim, s) for s in enumerate_invariant_spaces(n, max_n=max_n)),
+                   key=lambda t: (-t[0], t[1].sort_key()))
     bound = dimension_bound(n, k)
     counts = {"specs": len(specs), "pruned": 0, "certified_no": 0,
               "probable_yes": 0, "skipped_below_max": 0}
     best = -1
     argmax = []
 
-    for spec in specs:
-        d = spec.dim
+    for d, spec in specs:
         if d < best:
             counts["skipped_below_max"] += 1
             continue
@@ -355,7 +345,7 @@ def search_max_dimension(n, k, trials=32, seed=2024, rules="full",
             else:
                 argmax.append(spec)
 
-    return SearchReport(n=n, k=k, rules=rules, trials=trials, seed=seed,
+    return SearchReport(n=n, k=k, trials=trials, seed=seed,
                         bound=bound, max_dim=best, argmax=tuple(argmax),
                         counts=counts, matches_bound=best == bound)
 

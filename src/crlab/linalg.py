@@ -245,7 +245,7 @@ class Mat:
             return 0
         if isinstance(self.data[0], Fraction):
             rows, _ = self._integer_rows()
-            return _rank_bareiss(rows)
+            return _bareiss(rows)[0]
         work = [list(self.row(i)) for i in range(self.rows)]
         return len(rref_rows(work))
 
@@ -255,8 +255,8 @@ class Mat:
         if not isinstance(self.data[0], Fraction):
             raise ValueError("determinant is defined in rational mode only")
         rows, scales = self._integer_rows()
-        d = _det_bareiss(rows)
-        out = Fraction(d)
+        rank, sign = _bareiss(rows)
+        out = Fraction(sign * rows[-1][-1] if rank == self.rows else 0)
         for s in scales:
             out /= s
         return out
@@ -345,13 +345,16 @@ def _one_like(x):
     return x.field.one()
 
 
-def _rank_bareiss(rows):
-    """Rank of an integer matrix by fraction-free elimination."""
+def _bareiss(rows):
+    """Fraction-free elimination of an integer matrix in place; returns
+    (rank, sign of the row swaps).  For a square matrix of full rank the
+    last pivot rows[n-1][n-1] times that sign is the determinant."""
     m = len(rows)
     if m == 0:
-        return 0
+        return 0, 1
     n = len(rows[0])
     r = 0
+    sign = 1
     prev = 1
     for c in range(n):
         piv = None
@@ -363,6 +366,7 @@ def _rank_bareiss(rows):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         pr = rows[r]
         pv = pr[c]
         for i in range(r + 1, m):
@@ -374,34 +378,7 @@ def _rank_bareiss(rows):
         r += 1
         if r == m:
             break
-    return r
-
-
-def _det_bareiss(rows):
-    """Determinant of an integer matrix (Bareiss, exact divisions)."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pr = rows[c]
-        pv = pr[c]
-        for i in range(c + 1, n):
-            ri = rows[i]
-            f = ri[c]
-            for j in range(c, n):
-                ri[j] = (pv * ri[j] - f * pr[j]) // prev
-        prev = pv
-    return sign * rows[n - 1][n - 1]
+    return r, sign
 
 
 def rref_rows(rows):
@@ -450,21 +427,24 @@ def commutator(a, b):
 
 
 class VectorSpan:
-    """Incremental reduced-row-echelon accumulator for vectors over an exact
-    field; supports membership tests and dimension counting."""
+    """The span of vectors over an exact field, kept as the RREF rows of
+    :func:`rref_rows` with their pivot columns; supports membership tests and
+    dimension counting."""
 
     __slots__ = ("length", "rows", "pivots")
 
-    def __init__(self, length):
+    def __init__(self, length, vectors=()):
         self.length = length
-        self.rows = []
-        self.pivots = []
+        self.rows = [list(v) for v in vectors]
+        self.pivots = rref_rows(self.rows)
+        del self.rows[len(self.pivots):]
 
     @property
     def dim(self):
         return len(self.rows)
 
     def reduce(self, vec):
+        """Residual of vec after elimination against the echelon rows."""
         vec = list(vec)
         for row, p in zip(self.rows, self.pivots):
             f = vec[p]
@@ -478,21 +458,10 @@ class VectorSpan:
     def add(self, vec):
         """Insert a vector; returns True when it enlarged the span."""
         res = self.reduce(vec)
-        p = next((i for i, x in enumerate(res) if x), None)
-        if p is None:
+        if not any(res):
             return False
-        pv = res[p]
-        if pv != 1:
-            res = [x / pv for x in res]
-        for i, row in enumerate(self.rows):
-            f = row[p]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(row, res)]
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < p:
-            idx += 1
-        self.rows.insert(idx, res)
-        self.pivots.insert(idx, p)
+        self.rows.append(res)
+        self.pivots = rref_rows(self.rows)
         return True
 
 
@@ -515,10 +484,8 @@ def mat_from_columns(columns):
 def complete_basis(columns, n, one=_ONE):
     """Extend independent n-by-1 columns to a basis of the whole space with
     standard vectors; ``one`` is the unit of the columns' field."""
-    span = VectorSpan(n)
+    span = VectorSpan(n, [c.data for c in columns])
     out = list(columns)
-    for c in columns:
-        span.add(c.data)
     zero = one - one
     for i in range(n):
         e = [zero] * n

@@ -12,21 +12,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Mat, rref_rows
+from .linalg import Mat, VectorSpan
 
 __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
 
 class MatrixSubspace:
-    __slots__ = ("rows", "cols", "basis", "_pivot_cache")
+    __slots__ = ("rows", "cols", "basis", "_span")
 
-    def __init__(self, rows, cols, basis, _canonical=False):
+    def __init__(self, rows, cols, vspan, _canonical=False):
         if not _canonical:
             raise TypeError("use span() / MatrixSubspace.span to build spaces")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivot_cache", None)
+        object.__setattr__(self, "basis", tuple(Mat(rows, cols, v) for v in vspan.rows))
+        object.__setattr__(self, "_span", vspan)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixSubspace is immutable")
@@ -42,10 +42,8 @@ class MatrixSubspace:
         for m in mats:
             if m.rows != rows or m.cols != cols:
                 raise ValueError("generators have mismatched shapes")
-        vecs = [list(m.data) for m in mats]
-        rref_rows(vecs)
-        basis = tuple(Mat(rows, cols, tuple(v)) for v in vecs if any(v))
-        return cls(rows, cols, basis, _canonical=True)
+        return cls(rows, cols, VectorSpan(rows * cols, (m.data for m in mats)),
+                   _canonical=True)
 
     # -- basic queries -------------------------------------------------------
 
@@ -63,13 +61,6 @@ class MatrixSubspace:
     def is_square(self):
         return self.rows == self.cols
 
-    def _pivots(self):
-        if self._pivot_cache is None:
-            pivots = tuple(next(i for i, x in enumerate(b.data) if x)
-                           for b in self.basis)
-            object.__setattr__(self, "_pivot_cache", pivots)
-        return self._pivot_cache
-
     def integer_basis(self):
         """(L, rows): L is the lcm of the basis denominators and rows[p] is
         L times the p-th canonical basis element as a flat list of ints."""
@@ -77,35 +68,13 @@ class MatrixSubspace:
         return scale, [[x.numerator * (scale // x.denominator) for x in b.data]
                        for b in self.basis]
 
-    def _reduce(self, m):
-        """Residual of m after elimination against the canonical basis."""
+    def contains(self, m):
         if m.rows != self.rows or m.cols != self.cols:
             raise ValueError("ambient mismatch")
-        vec = list(m.data)
-        for b, p in zip(self.basis, self._pivots()):
-            f = vec[p]
-            if f:
-                vec = [a - f * c for a, c in zip(vec, b.data)]
-        return vec
-
-    def contains(self, m):
-        return not any(self._reduce(m))
+        return self._span.contains(m.data)
 
     def __contains__(self, m):
         return self.contains(m)
-
-    def coordinates(self, m):
-        """Coefficients of m in the canonical basis; None when m is outside."""
-        if m.rows != self.rows or m.cols != self.cols:
-            raise ValueError("ambient mismatch")
-        vec = list(m.data)
-        coords = []
-        for b, p in zip(self.basis, self._pivots()):
-            f = vec[p]
-            coords.append(f)
-            if f:
-                vec = [a - f * c for a, c in zip(vec, b.data)]
-        return coords if not any(vec) else None
 
     # -- constructions of new spaces ------------------------------------------
 
@@ -167,7 +136,7 @@ class MatrixSubspace:
             raise ValueError("square spaces only")
         n = self.n
         scale, rows = self.integer_basis()
-        pivots = self._pivots()
+        pivots = self._span.pivots
         for a in rows:
             for b in rows:
                 prod = []

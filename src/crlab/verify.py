@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .commrank import dimension_bound, max_commutator_rank
 from .constructions import (commutative_exceptional_space, exceptional_extremal_space,
-                            extremal_space, valid_splits)
+                            extremal_space, southeast_embed, valid_splits)
 from .linalg import (Mat, VectorSpan, charpoly_discriminant, commutator,
                      complete_basis, mat_from_columns)
 from .numberfield import irreducible_factors, rational_roots
@@ -150,17 +150,13 @@ def _match_block_form(w, k, seed):
     p1_inv = p1.inverse()
     quotient = [(p1_inv @ a @ p1).block(k, n, k, n) for a in w.basis]
     m = n - k
-    strip = VectorSpan(m)
-    for q in quotient:
-        tr = q.trace()
-        nil = q - Mat.identity(m) * (tr / m)
-        for j in range(m):
-            strip.add(nil.col(j))
+    nils = [q - Mat.identity(m) * (q.trace() / m) for q in quotient]
+    strip = VectorSpan(m, [nil.col(j) for nil in nils for j in range(m)])
     l = strip.dim
     if l in valid_splits(n, k) or (m == 1 and l == 0):
         mid_cols = [Mat.column(r) for r in strip.rows]
         p2 = mat_from_columns(complete_basis(mid_cols, m))
-        witness = (p1 @ _embed_tail(p2, n, k)).inverse()
+        witness = (p1 @ southeast_embed(p2, n, head=1)).inverse()
         target_l = l if l in valid_splits(n, k) else valid_splits(n, k)[0]
         target = extremal_space(n, k, target_l)
         if w.conjugate(witness) == target:
@@ -171,7 +167,7 @@ def _match_block_form(w, k, seed):
             p2 = _match_exceptional_block(qspace, m, tag, seed)
             if p2 is None:
                 continue
-            witness = (p1 @ _embed_tail(p2, n, k)).inverse()
+            witness = (p1 @ southeast_embed(p2, n, head=1)).inverse()
             if w.conjugate(witness) == exceptional_extremal_space(n, k, tag):
                 return "exceptional", witness, tag, (k,)
     return None
@@ -201,17 +197,6 @@ def _commutator_core(w):
                 if span.add(img.data):
                     grew = True
     return [Mat.column(r) for r in span.rows]
-
-
-def _embed_tail(p2, n, k):
-    """block_diag(I_k, p2) as an n-by-n matrix."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(k):
-        rows[i][i] = Fraction(1)
-    for i in range(n - k):
-        for j in range(n - k):
-            rows[k + i][k + j] = p2[i, j]
-    return Mat.from_rows(rows)
 
 
 # -- exceptional quotient matchers ------------------------------------------------

@@ -101,6 +101,15 @@ def test_search_command(tmp_path, capsys):
     assert report["results"]["matches_bound"] is True
 
 
+def test_search_rules_flag(capsys):
+    # 'full' is the only closure rule set; any other name is a usage error
+    assert run_cli("search", "--n", "2", "--k", "1", "--rules", "full") == 0
+    assert json.loads(capsys.readouterr().out)["args"]["rules"] == "full"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("search", "--n", "2", "--k", "1", "--rules", "three-case")
+    assert exc.value.code == 2
+
+
 def test_search_guard_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CRLAB_MAX_N", "2")
     code = run_cli("search", "--n", "3", "--k", "1")

@@ -163,15 +163,21 @@ def test_symbolic_certifier_small_cases():
     # [E12, E21] is invertible, so even rank <= 1 fails for all of M_2
     assert not certify_rank_condition_symbolic(full_space(2), 1)
     assert certify_rank_condition_symbolic(span([E(2, 0, 0), E(2, 0, 1)]), 1)
+    assert certify_rank_condition_symbolic(zero_space(3), 0)
     with pytest.raises(ValueError):
         certify_rank_condition_symbolic(schur_space(4), 0)
 
 
 def test_symbolic_agrees_with_sampling_at_n3():
     rng = random.Random(41)
-    for _ in range(6):
-        mats = [random_matrix(3, 3, 3, rng.randint(0, 10 ** 6)) for _ in range(3)]
-        v = span(mats)
+    spaces = [span([random_matrix(3, 3, 3, rng.randint(0, 10 ** 6)) for _ in range(3)])
+              for _ in range(6)]
+    q = Mat.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 5]])  # det 31
+    conjugated = extremal_space(3, 1, 1).conjugate(q)
+    assert any(x.denominator > 1 for b in conjugated.basis for x in b.data)
+    assert [certify_rank_condition_symbolic(conjugated, k) for k in (0, 1, 2)] == \
+        [False, True, True]
+    for v in spaces + [conjugated]:
         for k in (1, 2):
             exact = certify_rank_condition_symbolic(v, k)
             sampled = satisfies_rank_condition(v, k, 24, 5)

@@ -67,23 +67,10 @@ def test_closure_with_partition_and_differences_is_invariant():
                           if rng.random() < 0.15)
         spec = InvariantSpaceSpec(n, _random_spec(n, rng).units,
                                   tuple(tuple(b) for b in blocks if b), diffs)
-        for rules in ("full", "three-case"):
-            c = triangular_closure(spec, rules)
-            assert spec.realize() <= c.realize()
-            assert triangular_closure(c, rules) == c
-            assert is_triangular_invariant(c.realize())
-
-
-def test_closure_three_case_is_weaker():
-    s = _scalars_spec(4, {(2, 0)})
-    full = triangular_closure(s, rules="full")
-    three = triangular_closure(s, rules="three-case")
-    assert three.units <= full.units
-
-
-def test_closure_rejects_bad_rules():
-    with pytest.raises(ValueError):
-        triangular_closure(_scalars_spec(2), rules="bogus")
+        c = triangular_closure(spec)
+        assert spec.realize() <= c.realize()
+        assert triangular_closure(c) == c
+        assert is_triangular_invariant(c.realize())
 
 
 # -- the invariance predicate -----------------------------------------------------
@@ -145,10 +132,10 @@ def test_enumerated_specs_closed_and_invariant():
         assert is_triangular_invariant(spec.realize())
 
 
-def _scan_all_masks(n, rules):
+def _scan_all_masks(n):
     """Reference enumerator: test all 2^(n(n-1)) position subsets for being
     closure fixpoints, in bitmask order."""
-    pos, masks = _closure_masks(n, rules)
+    pos, masks = _closure_masks(n)
     for mask in range(1 << len(pos)):
         implied = 0
         for b in range(len(pos)):
@@ -159,10 +146,8 @@ def _scan_all_masks(n, rules):
                 n, frozenset(pos[b] for b in range(len(pos)) if mask >> b & 1))
 
 
-@pytest.mark.parametrize("rules", ["full", "three-case"])
-def test_enumerate_matches_mask_scan_in_order(rules):
-    assert list(enumerate_invariant_spaces(4, rules=rules)) == \
-        list(_scan_all_masks(4, rules))
+def test_enumerate_matches_mask_scan_in_order():
+    assert list(enumerate_invariant_spaces(4)) == list(_scan_all_masks(4))
 
 
 def test_enumerate_counts():
@@ -224,17 +209,6 @@ def test_pruned_specs_are_genuinely_refuted():
     for spec, k in pruned[:50]:
         verdict = satisfies_rank_condition(spec.realize(), k, 32, 13)
         assert verdict.status == "CERTIFIED_NO"
-
-
-def test_three_case_rules_family_and_search():
-    # the weaker closure can only enlarge the enumerated family, and the
-    # search over it still lands exactly on the bound
-    for n in (3, 4):
-        full = set(enumerate_invariant_spaces(n, rules="full"))
-        three = set(enumerate_invariant_spaces(n, rules="three-case"))
-        assert full <= three
-    r = search_max_dimension(3, 1, trials=32, seed=7, rules="three-case")
-    assert r.max_dim == r.bound and r.rules == "three-case"
 
 
 def test_split_bound():

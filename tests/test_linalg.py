@@ -6,8 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlab.linalg import (Mat, SingularMatrixError, charpoly_discriminant,
-                          commutator, mat_from_columns, random_matrix)
+from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, charpoly_discriminant,
+                          commutator, mat_from_columns, random_matrix, rref_rows)
 from crlab.numberfield import NumberField
 
 
@@ -170,3 +170,54 @@ def test_charpoly_constant_term_is_det(rows):
         acc = acc + power * c
         power = power @ m
     assert acc.is_zero()
+
+
+# -- the span engine: VectorSpan.add against one batch rref_rows ------------------
+
+_QI = NumberField([1, 0, 1])
+
+
+def _rank(vectors):
+    """Rank by Bareiss elimination over Q; a Q(i) vector v = a + ib enters as
+    the rational rows of v and i*v, which doubles the rank."""
+    if not vectors:
+        return 0
+    if isinstance(vectors[0][0], Fraction):
+        return Mat.from_rows(vectors).rank()
+    i = _QI.theta()
+    real = [[c for x in u for c in x.coeffs]
+            for v in vectors for u in (v, [i * x for x in v])]
+    return Mat.from_rows(real).rank() // 2
+
+
+def _check_span_engine(vectors, probes):
+    # a duplicate and a combination make some additions dependent
+    vectors = vectors + [vectors[0], [a + 3 * b for a, b in zip(vectors[0], vectors[-1])]]
+    span = VectorSpan(len(vectors[0]))
+    grew = [span.add(v) for v in vectors]
+    work = [list(v) for v in vectors]
+    pivots = rref_rows(work)
+    assert span.pivots == pivots
+    assert span.rows == work[:len(pivots)]
+    assert grew == [_rank(vectors[:i + 1]) > _rank(vectors[:i])
+                    for i in range(len(vectors))]
+    for w in vectors + probes:
+        assert span.contains(w) == (_rank(vectors + [w]) == len(pivots))
+
+
+def _span_cases(entry, max_len):
+    return st.integers(1, max_len).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6),
+        st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_cases(_ENTRY, 6))
+def test_span_add_matches_batch_rref(case):
+    _check_span_engine(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_span_cases(st.lists(_ENTRY, min_size=2, max_size=2).map(_QI.element), 3))
+def test_span_add_matches_batch_rref_over_q_i(case):
+    _check_span_engine(*case)
