@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat
+from .linalg import Mat, block_diag
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -135,13 +135,12 @@ def rank_one_max_space(n, variant, l=None):
     if n < 2:
         raise ValueError("n must be >= 2")
     if variant == "generic":
-        m = n - 1
-        splits = sorted({m // 2, (m + 1) // 2})
+        splits = valid_splits(n - 1, 0)
         if l is None and len(splits) == 1:
             l = splits[0]
         if l not in splits:
             raise ValueError(f"split l={l} invalid for the generic variant at n={n}")
-        inner = _schur_block_mats(m, l)
+        inner = extremal_space(n - 1, 0, l).basis
     else:
         try:
             need_n, tag, m = _RANK1_VARIANTS[variant]
@@ -149,28 +148,10 @@ def rank_one_max_space(n, variant, l=None):
             raise ValueError(f"unknown variant {variant!r}") from None
         if n != need_n:
             raise ValueError(f"variant {variant!r} requires n = {need_n}")
-        inner = list(commutative_exceptional_space(m, tag).basis)
+        inner = commutative_exceptional_space(m, tag).basis
     mats = [Mat.unit(n, 0, j) for j in range(n)]
-    mats += [southeast_embed(b, n) for b in inner]
+    mats += [block_diag(Mat.zero(1), b) for b in inner]
     return MatrixSubspace.span(mats, n, n)
-
-
-def _schur_block_mats(m, l):
-    mats = [Mat.identity(m)]
-    mats += [Mat.unit(m, i, j) for i in range(l) for j in range(l, m)]
-    return mats
-
-
-def southeast_embed(b, n, head=0):
-    """The n-by-n matrix block_diag(head * I, b), b square."""
-    m = b.rows
-    off = n - m
-    data = [Fraction(0)] * (n * n)
-    for i in range(off):
-        data[i * n + i] = Fraction(head)
-    for i in range(m):
-        data[(off + i) * n + off:(off + i + 1) * n] = b.row(i)
-    return Mat(n, n, data)
 
 
 def exceptional_extremal_space(n, k, tag):
@@ -181,7 +162,7 @@ def exceptional_extremal_space(n, k, tag):
     if tag not in _EXCEPTIONAL_TAGS_BY_SIZE.get(m, ()):
         raise ValueError(f"tag {tag!r} does not apply at n-k = {m}")
     mats = [Mat.unit(n, i, j) for i in range(k) for j in range(n)]
-    mats += [southeast_embed(b, n) for b in commutative_exceptional_space(m, tag).basis]
+    mats += [block_diag(Mat.zero(k), b) for b in commutative_exceptional_space(m, tag).basis]
     return MatrixSubspace.span(mats, n, n)
 
 

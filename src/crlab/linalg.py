@@ -26,6 +26,7 @@ __all__ = [
     "rref_rows",
     "mat_from_columns",
     "complete_basis",
+    "block_diag",
 ]
 
 
@@ -493,6 +494,16 @@ def complete_basis(columns, n, one=_ONE):
         if span.add(e):
             out.append(Mat.column(e))
     return out
+
+
+def block_diag(a, b):
+    """The square matrix with square blocks a and b on its diagonal; the
+    zero blocks take their zero from b's field."""
+    zero = _zero_like(b.data[0])
+    rows = [list(a.row(i)) + [zero] * b.cols for i in range(a.rows)]
+    rows += [[zero] * a.cols + list(b.row(i)) for i in range(b.rows)]
+    n = a.rows + b.rows
+    return Mat(n, n, [x for r in rows for x in r])
 
 
 def _poly_deriv(p):

@@ -294,9 +294,6 @@ def rational_sqrt(q):
 
 def sqrt_in_field(d, field):
     """Square root of d in Q(theta), or None.  Complete for degree-2 fields."""
-    if isinstance(d, (int, Fraction)):
-        r = rational_sqrt(d)
-        return None if r is None else r
     if field.degree != 2:
         if d.is_rational():
             r = rational_sqrt(d.rational_value())
@@ -357,11 +354,11 @@ def roots_in_field(coeffs, field=None):
     have roots the search cannot reach.
     """
     if field is None:
-        return [r for r in rational_roots(coeffs)]
+        return rational_roots(coeffs)
     coeffs = tuple(field.from_rational(c) if isinstance(c, (int, Fraction)) else c
                    for c in coeffs)
     roots = []
-    work = _trim_field(coeffs, field)
+    work = _trim(coeffs)
     # peel off known elements first: theta, then rational roots if the
     # remaining coefficients are all rational
     progress = True
@@ -390,13 +387,6 @@ def roots_in_field(coeffs, field=None):
     return roots
 
 
-def _trim_field(coeffs, field):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 def _deflate(coeffs, root, field):
     """Divide by (x - root) over the field (root must be exact)."""
     n = len(coeffs) - 1
@@ -405,7 +395,7 @@ def _deflate(coeffs, root, field):
     for i in range(n - 1, -1, -1):
         acc = coeffs[i + 1] + root * acc
         out[i] = acc
-    return _trim_field(tuple(out), field)
+    return _trim(tuple(out))
 
 
 def _field_candidates(coeffs, field):

@@ -11,21 +11,29 @@ classification certifies the hypothesis for every pair.
 Triangularization then recurses on a proper invariant subspace: pick a
 non-scalar member A, an exact eigenvalue lambda, and the singular shift
 B0 = A - lambda*I; the kernel of B0 is tried first, and when some member maps
-it outside, the range of B0 is invariant instead (its failure would exhibit a
-rank-two commutator, reported with a witness).  Eigenvalues are taken from
-rational roots of characteristic polynomials; when none exists anywhere the
-pipeline adjoins one root of an irreducible factor and continues in Q(theta).
-
-RIGHT-sided families are transposed, triangularized, and mapped back through
-inversion and the reversal permutation, so one code path serves both sides.
+it outside, the range of B0 is invariant instead.  For x in ker B0 and any
+member M, B0(Mx) = -[M, A]x.  In a LEFT family every [M, A] has columns on
+the shared u, so a kernel that is not invariant puts u in range B0; in a
+RIGHT family [M, A] = u_M v^T, and a kernel vector x0 with v^T x0 != 0
+gives u_M = -B0(M x0) / (v^T x0) in range B0 for every M.  Either way
+range B0 is invariant, restrictions and quotients keep the shared direction,
+and one recursion serves LEFT, RIGHT and commuting families alike (a failure
+of both subspaces would exhibit a rank-two commutator, reported with a
+witness).  Eigenvalues are taken from rational roots of characteristic
+polynomials; when none exists anywhere the pipeline adjoins one root of an
+irreducible factor and continues in Q(theta).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from itertools import chain
 
-from .linalg import Mat, VectorSpan, commutator, complete_basis, mat_from_columns
+from .linalg import (Mat, VectorSpan, block_diag, commutator, complete_basis,
+                     mat_from_columns)
 from .numberfield import (ExtensionLimitError, NumberField,
                           irreducible_factors, roots_in_field)
 
@@ -150,42 +158,23 @@ def classify_rank_one_family(v):
 
 # -- recursion machinery --------------------------------------------------------
 
-def _field_one(field):
-    from fractions import Fraction
-    return Fraction(1) if field is None else field.one()
+def _lift(m, field):
+    """m over ``field`` (None is Q): rational matrices are embedded, matrices
+    already over the field pass through."""
+    if field is None or not isinstance(m.data[0], Fraction):
+        return m
+    return field.embed_matrix(m)
 
 
-def _identity_over(n, field):
-    if field is None:
-        return Mat.identity(n)
-    return field.embed_matrix(Mat.identity(n))
-
-
-def _lift(mats, field):
-    return [field.embed_matrix(m) if _is_rational_mat(m) else m for m in mats]
-
-
-def _is_rational_mat(m):
-    from fractions import Fraction
-    return isinstance(m.data[0], Fraction)
-
-
-def _eigenvalue_candidates(mats, field, rng):
-    """Non-scalar members to probe for an eigenvalue: basis order first, then
-    a bounded number of random integer combinations."""
-    out = [m for m in mats if not m.is_scalar_matrix()]
-    n = mats[0].rows if mats else 0
-    one = _field_one(field)
-    for _ in range(_COMBO_ATTEMPTS):
-        acc = None
-        for m in mats:
-            c = rng.randint(-4, 4)
-            if c:
-                t = m * (one * c)
-                acc = t if acc is None else acc + t
-        if acc is not None and not acc.is_scalar_matrix():
-            out.append(acc)
-    return out
+def _eigenvalue_candidates(mats, rng):
+    """Non-scalar members to probe for an eigenvalue, built as they are
+    needed: basis order first, then a bounded number of random integer
+    combinations.  The coefficients are drawn up front, so the generator's
+    state does not depend on how many candidates are used."""
+    draws = [[rng.randint(-4, 4) for _ in mats] for _ in range(_COMBO_ATTEMPTS)]
+    combos = (reduce(Mat.__add__, (m * c for m, c in zip(mats, cs) if c))
+              for cs in draws if any(cs))
+    return (a for a in chain(mats, combos) if not a.is_scalar_matrix())
 
 
 def _find_singular_shift(mats, field, rng):
@@ -195,13 +184,13 @@ def _find_singular_shift(mats, field, rng):
     otherwise adjoins a root of a minimal-degree irreducible factor (one
     extension level; a second one raises ExtensionLimitError).
     """
-    n = mats[0].rows
-    candidates = _eigenvalue_candidates(mats, field, rng)
-    for a in candidates:
+    eye = Mat.identity(mats[0].rows)
+    candidates = []
+    for a in _eigenvalue_candidates(mats, rng):
         roots = roots_in_field(a.charpoly(), field)
         if roots:
-            lam = roots[0]
-            return a - _identity_over(n, field) * lam, field, mats
+            return a - _lift(eye, field) * roots[0], field, mats
+        candidates.append(a)
     if field is not None:
         raise ExtensionLimitError(
             "no eigenvalue in Q(theta) and a second extension is unsupported")
@@ -214,10 +203,8 @@ def _find_singular_shift(mats, field, rng):
         raise ExtensionLimitError("no usable eigenvalue source found")
     a, f = best
     field = NumberField(f)
-    mats = _lift(mats, field)
-    a = field.embed_matrix(a)
-    lam = field.theta()
-    return a - _identity_over(n, field) * lam, field, mats
+    b0 = _lift(a, field) - _lift(eye, field) * field.theta()
+    return b0, field, [_lift(m, field) for m in mats]
 
 
 def _column_space(m):
@@ -248,51 +235,33 @@ def _triangularize_family(mats, n, field, rng):
     """Recursive flag construction; returns (P, field) with P^{-1} A P upper
     triangular for every A (over the possibly extended field)."""
     if n == 1 or all(m.is_upper_triangular() for m in mats):
-        return _identity_over(n, field), field
+        return _lift(Mat.identity(n), field), field
     b0, field, mats = _find_singular_shift(mats, field, rng)
-    kernel = b0.kernel_basis()
-    bad = _is_invariant(mats, kernel)
-    if bad is None:
-        subspace = kernel
-    else:
-        rng_cols = _column_space(b0)
-        bad2 = _is_invariant(mats, rng_cols)
-        if bad2 is not None:
-            raise InvariantFailureError(b0, bad2[0], bad2[1])
-        subspace = rng_cols
+    subspace = b0.kernel_basis()
+    if _is_invariant(mats, subspace) is not None:
+        subspace = _column_space(b0)
+        bad = _is_invariant(mats, subspace)
+        if bad is not None:
+            raise InvariantFailureError(b0, bad[0], bad[1])
     m = len(subspace)
-    p1 = mat_from_columns(complete_basis(subspace, n, _field_one(field)))
+    one = _lift(Mat.identity(1), field)[0, 0]
+    p1 = mat_from_columns(complete_basis(subspace, n, one))
     p1_inv = p1.inverse()
     conj = [p1_inv @ a @ p1 for a in mats]
-    tops = [t.block(0, m, 0, m) for t in conj]
-    bottoms = [t.block(m, n, m, n) for t in conj]
-    p_top, field2 = _triangularize_family(tops, m, field, rng)
-    if field2 is not field:
-        bottoms = _lift(bottoms, field2)
-        p1 = field2.embed_matrix(p1) if _is_rational_mat(p1) else p1
-    p_bot, field3 = _triangularize_family(bottoms, n - m, field2, rng)
-    if field3 is not field2:
-        p_top = field3.embed_matrix(p_top) if _is_rational_mat(p_top) else p_top
-        p1 = field3.embed_matrix(p1) if _is_rational_mat(p1) else p1
-    one = _field_one(field3)
-    zero = one - one
-    data = [[zero] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            data[i][j] = p_top[i, j]
-    for i in range(n - m):
-        for j in range(n - m):
-            data[m + i][m + j] = p_bot[i, j]
-    p2 = Mat.from_rows(data)
-    return p1 @ p2, field3
+    p_top, field = _triangularize_family([t.block(0, m, 0, m) for t in conj],
+                                         m, field, rng)
+    p_bot, field = _triangularize_family([_lift(t.block(m, n, m, n), field)
+                                          for t in conj], n - m, field, rng)
+    return _lift(p1, field) @ block_diag(_lift(p_top, field), p_bot), field
 
 
-def _result_from(v, p, field):
-    basis = list(v.basis)
-    if field is not None:
-        basis = _lift(basis, field)
+def _triangularize(v):
+    """The shared recursion on the basis of v, packaged with its certificate."""
+    p, field = _triangularize_family(list(v.basis), v.n, None,
+                                     random.Random(_COMBO_SEED))
     p_inv = p.inverse()
-    lowers = tuple((p_inv @ a @ p).strictly_lower_part() for a in basis)
+    lowers = tuple((p_inv @ _lift(a, field) @ p).strictly_lower_part()
+                   for a in v.basis)
     return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)),
                                    certificate=lowers, field=field)
 
@@ -306,42 +275,17 @@ def triangularize_commuting(v):
             c = commutator(basis[i], basis[j])
             if not c.is_zero():
                 raise NonCommutingError((basis[i], basis[j]), c)
-    rng = random.Random(_COMBO_SEED)
-    p, field = _triangularize_family(list(basis), v.n, None, rng)
-    return _result_from(v, p, field)
-
-
-def _reversal(n):
-    data = [[0] * n for _ in range(n)]
-    for i in range(n):
-        data[i][n - 1 - i] = 1
-    return Mat.from_rows(data)
+    return _triangularize(v)
 
 
 def triangularize_rank_one(v):
     """Simultaneous triangularization of a space with rank-<=1 commutators."""
-    family = classify_rank_one_family(v)
-    if family.side == "ZERO":
-        return triangularize_commuting(v)
-    rng = random.Random(_COMBO_SEED)
-    if family.side == "LEFT":
-        p, field = _triangularize_family(list(v.basis), v.n, None, rng)
-        return _result_from(v, p, field)
-    # RIGHT: triangularize the transposes, then invert and reverse
-    mats_t = [b.transpose() for b in v.basis]
-    p_t, field = _triangularize_family(mats_t, v.n, None, rng)
-    rev = _reversal(v.n)
-    if field is not None:
-        rev = field.embed_matrix(rev)
-    p = p_t.inverse().transpose() @ rev
-    return _result_from(v, p, field)
+    classify_rank_one_family(v)  # raises InconsistentFamilyError on a bad family
+    return _triangularize(v)
 
 
 def verify_triangular(v, p):
     """Is P^{-1} A P exactly upper triangular for every basis element?"""
     p_inv = p.inverse()  # raises SingularMatrixError when singular
-    basis = list(v.basis)
-    if not _is_rational_mat(p):
-        field = p.data[0].field
-        basis = _lift(basis, field)
-    return all((p_inv @ a @ p).is_upper_triangular() for a in basis)
+    field = None if isinstance(p.data[0], Fraction) else p.data[0].field
+    return all((p_inv @ _lift(a, field) @ p).is_upper_triangular() for a in v.basis)

@@ -7,22 +7,27 @@ commutator's column space (bilinearity makes basis sums exact, not just
 generic), the middle strip comes from the nilpotent parts of the induced
 quotient action, and a candidate similarity is accepted only when conjugation
 lands exactly on the canonical construction (span equality, no tolerance).
+
+An exceptional quotient (``diag``, ``nil1_plus_scalar`` or ``nil2``) is the
+algebra of polynomials in any of its nonderogatory members, and the tag is
+fixed by the eigenvalue multiplicities of such a member: all 1, (2, 1) or
+(3).  One Krylov matcher covers the three: it conjugates a member onto the
+Jordan matrix with the same eigenvalues through their Krylov bases.
 Randomness only enters through the sampled commutator-rank level and the
-eigen-search inside the small exceptional matchers.
+choice of that member.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .commrank import dimension_bound, max_commutator_rank
 from .constructions import (commutative_exceptional_space, exceptional_extremal_space,
-                            extremal_space, southeast_embed, valid_splits)
-from .linalg import (Mat, VectorSpan, charpoly_discriminant, commutator,
+                            extremal_space, valid_splits)
+from .linalg import (Mat, VectorSpan, block_diag, charpoly_discriminant, commutator,
                      complete_basis, mat_from_columns)
-from .numberfield import irreducible_factors, rational_roots
+from .numberfield import irreducible_factors
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -156,25 +161,19 @@ def _match_block_form(w, k, seed):
     if l in valid_splits(n, k) or (m == 1 and l == 0):
         mid_cols = [Mat.column(r) for r in strip.rows]
         p2 = mat_from_columns(complete_basis(mid_cols, m))
-        witness = (p1 @ southeast_embed(p2, n, head=1)).inverse()
+        witness = (p1 @ block_diag(Mat.identity(k), p2)).inverse()
         target_l = l if l in valid_splits(n, k) else valid_splits(n, k)[0]
         target = extremal_space(n, k, target_l)
         if w.conjugate(witness) == target:
             return "generic", witness, target_l, (k, k + l)
     if m in (2, 3):
-        qspace = MatrixSubspace.span(quotient, m, m)
-        for tag in _exceptional_tags(m):
-            p2 = _match_exceptional_block(qspace, m, tag, seed)
-            if p2 is None:
-                continue
-            witness = (p1 @ southeast_embed(p2, n, head=1)).inverse()
+        hit = _match_exceptional(MatrixSubspace.span(quotient, m, m), seed)
+        if hit is not None:
+            p2, tag = hit
+            witness = (p1 @ block_diag(Mat.identity(k), p2)).inverse()
             if w.conjugate(witness) == exceptional_extremal_space(n, k, tag):
                 return "exceptional", witness, tag, (k,)
     return None
-
-
-def _exceptional_tags(m):
-    return ("diag",) if m == 2 else ("diag", "nil1_plus_scalar", "nil2")
 
 
 def _commutator_core(w):
@@ -199,114 +198,54 @@ def _commutator_core(w):
     return [Mat.column(r) for r in span.rows]
 
 
-# -- exceptional quotient matchers ------------------------------------------------
+# -- exceptional quotient matcher ------------------------------------------------
 
-def _match_exceptional_block(qspace, m, tag, seed):
-    """Basis change of the quotient onto an exceptional commutative form."""
+# eigenvalue multiplicities of a nonderogatory member -> exceptional tag
+_TAG_BY_MULTIPLICITIES = {(1, 1): "diag", (1, 1, 1): "diag",
+                          (2, 1): "nil1_plus_scalar", (3,): "nil2"}
+
+
+def _krylov(a, v):
+    """The Krylov basis [v, Av, A^2 v, ...] as the columns of a square matrix."""
+    cols = [v]
+    for _ in range(a.rows - 1):
+        cols.append(a @ cols[-1])
+    return mat_from_columns(cols)
+
+
+def _match_exceptional(qspace, seed):
+    """(P, tag) with qspace.conjugate(P^{-1}) the tagged exceptional
+    commutative space, or None.
+
+    The first member (basis first, then random combinations) with a cyclic
+    vector among the unit vectors and the all-ones vector decides: if qspace
+    is similar to a tagged space, that member generates it, its eigenvalues
+    are rational, and P = K_A K_G^{-1} carries the Jordan matrix G with the
+    same eigenvalues onto it (all-ones is cyclic for every such G).
+    """
+    m = qspace.n
     if qspace.dim != m:
         return None
-    if tag == "diag":
-        return _match_diagonalizable(qspace, m, seed)
-    if tag == "nil2":
-        return _match_nil2(qspace, seed)
-    if tag == "nil1_plus_scalar":
-        return _match_nil1_plus_scalar(qspace, seed)
-    return None
-
-
-def _match_diagonalizable(qspace, m, seed):
-    a = find_distinct_eigenvalue_element(qspace, trials=24, seed=seed, entry_bound=9)
-    if a is None:
-        return None
-    roots = rational_roots(a.charpoly())
-    if len(roots) != m:
-        return None
-    cols = []
-    for lam in sorted(roots):
-        ker = (a - Mat.identity(m) * lam).kernel_basis()
-        if len(ker) != 1:
+    probes = [Mat.column([int(i == j) for i in range(m)]) for j in range(m)]
+    probes.append(Mat.column([1] * m))
+    rng = random.Random(seed)
+    for attempt in range(24):
+        a = (qspace.basis[attempt] if attempt < m
+             else qspace.random_element(rng, 9))
+        k_a = next((k for k in (_krylov(a, v) for v in probes) if k.det()), None)
+        if k_a is None:
+            continue
+        eigen = sorted(((mult, -f[0]) for f, mult in irreducible_factors(a.charpoly())
+                        if len(f) == 2), reverse=True)
+        tag = _TAG_BY_MULTIPLICITIES.get(tuple(mult for mult, _ in eigen))
+        if tag is None:
             return None
-        cols.append(ker[0])
-    p = mat_from_columns(cols)
-    if qspace.conjugate(p.inverse()) == commutative_exceptional_space(m, "diag"):
-        return p
-    return None
-
-
-def _nilpotent_part(a, m):
-    """a - (tr a / m) I when that is nilpotent, else None."""
-    nil = a - Mat.identity(m) * (a.trace() / m)
-    power = nil
-    for _ in range(m - 1):
-        power = power @ nil
-    return nil if power.is_zero() and (nil @ power).is_zero() else None
-
-
-def _match_nil2(qspace, seed):
-    """Match against the unital algebra of a rank-two nilpotent: find a member
-    whose traceless part is nilpotent of rank 2 and read off its Jordan chain."""
-    rng = random.Random(seed)
-    target = commutative_exceptional_space(3, "nil2")
-    for attempt in range(24):
-        a = (qspace.basis[attempt] if attempt < qspace.dim
-             else qspace.random_element(rng, 9))
-        nil = _nilpotent_part(a, 3)
-        if nil is None or nil.rank() != 2:
-            continue
-        nil2 = nil @ nil
-        for i in range(3):
-            e = Mat.column([Fraction(1 if x == i else 0) for x in range(3)])
-            img2 = nil2 @ e
-            if img2.is_zero():
-                continue
-            p = mat_from_columns([img2, nil @ e, e])
-            if p.det() and qspace.conjugate(p.inverse()) == target:
-                return p
-        return None
-    return None
-
-
-def _match_nil1_plus_scalar(qspace, seed):
-    """Match against (scalar + rank-one nilpotent on a plane) + independent
-    line: split by a member with eigenvalue pattern {double, single}, then
-    align the shared nilpotent direction inside the plane."""
-    rng = random.Random(seed)
-    target = commutative_exceptional_space(3, "nil1_plus_scalar")
-    for attempt in range(24):
-        a = (qspace.basis[attempt] if attempt < qspace.dim
-             else qspace.random_element(rng, 9))
-        lin = [(-f[0] / f[1], mult) for f, mult in irreducible_factors(a.charpoly())
-               if len(f) == 2]
-        if sorted(mult for _, mult in lin) != [1, 2]:
-            continue
-        double = next(lam for lam, mult in lin if mult == 2)
-        single = next(lam for lam, mult in lin if mult == 1)
-        shift = a - Mat.identity(3) * double
-        plane = (shift @ shift).kernel_basis()
-        line = (a - Mat.identity(3) * single).kernel_basis()
-        if len(plane) != 2 or len(line) != 1:
-            continue
-        basis_change = complete_basis(plane, 3)
-        p_split = mat_from_columns(basis_change)
-        p_split_inv = p_split.inverse()
-        for b in qspace.basis:
-            t = p_split_inv @ b @ p_split
-            if any(t[i, j] for i in (2,) for j in (0, 1)):
-                continue  # plane not invariant under b: wrong split
-            block = t.block(0, 2, 0, 2)
-            lam = block.trace() / 2
-            nil = block - Mat.identity(2) * lam
-            if nil.is_zero() or not (nil @ nil).is_zero():
-                continue
-            # source coordinate outside ker(nil), image spans the shared line
-            src_coords = next(e for e in (Mat.column([1, 0]), Mat.column([0, 1]))
-                              if not (nil @ e).is_zero())
-            img_coords = nil @ src_coords
-            to_plane = mat_from_columns(plane)
-            p = mat_from_columns([to_plane @ img_coords, to_plane @ src_coords,
-                                  line[0]])
-            if p.det() and qspace.conjugate(p.inverse()) == target:
-                return p
+        lams = [lam for mult, lam in eigen for _ in range(mult)]
+        g = Mat.from_rows([[lams[i] if i == j else int(j == i + 1 and lams[i] == lams[j])
+                            for j in range(m)] for i in range(m)])  # Jordan matrix
+        p = k_a @ _krylov(g, probes[-1]).inverse()
+        if qspace.conjugate(p.inverse()) == commutative_exceptional_space(m, tag):
+            return p, tag
         return None
     return None
 

@@ -6,8 +6,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, charpoly_discriminant,
-                          commutator, mat_from_columns, random_matrix, rref_rows)
+from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, block_diag,
+                          charpoly_discriminant, commutator, mat_from_columns,
+                          random_matrix, rref_rows)
 from crlab.numberfield import NumberField
 
 
@@ -154,6 +155,20 @@ def test_inverse_and_det():
     assert m @ m.inverse() == Mat.identity(2)
     with pytest.raises(SingularMatrixError):
         E(2, 0, 1).inverse()
+
+
+def test_block_diag():
+    a = Mat.from_rows([[1, 2], [3, 4]])
+    assert block_diag(a, Mat.from_rows([[5]])) == \
+        Mat.from_rows([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    assert block_diag(Mat.zero(0), a) == a
+    # over Q(i): the zero blocks come from the second block's field
+    qi = NumberField([1, 0, 1])
+    rot = Mat(2, 2, [qi.zero(), -qi.theta(), qi.theta(), qi.zero()])
+    m = block_diag(qi.embed_matrix(Mat.identity(1)), rot)
+    assert all(x.field == qi for x in m.data)
+    assert m[0, 1] == qi.zero() and m[1, 2] == -qi.theta()
+    assert m @ m == block_diag(qi.embed_matrix(Mat.identity(1)), qi.embed_matrix(Mat.identity(2)))
 
 
 @settings(max_examples=60, deadline=None)

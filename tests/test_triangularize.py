@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crlab.constructions import rank_one_max_space
-from crlab.linalg import Mat, commutator, random_matrix
+from crlab.linalg import Mat, block_diag, commutator, random_matrix
 from crlab.subspace import span
 from crlab.triangularize import (InconsistentFamilyError, NonCommutingError,
                                  classify_rank_one_family,
@@ -140,10 +140,24 @@ def test_rank_one_right_family():
 def test_rank_one_random_subspaces():
     rng = random.Random(55)
     base = rank_one_max_space(5, "generic", 2).conjugate(_invertible(5, 19))
-    for d in (2, 4, 6):
-        sub = span([base.random_element(rng, 6) for _ in range(d)])
-        res = triangularize_rank_one(sub)
-        assert verify_triangular(sub, res.P)
+    for space in (base, base.transpose_space()):
+        for d in (2, 4, 6):
+            sub = span([space.random_element(rng, 6) for _ in range(d)])
+            res = triangularize_rank_one(sub)
+            assert verify_triangular(sub, res.P)
+
+
+def test_rank_one_right_family_over_extension():
+    # first-row band beside the companion block of x^2 - 2, transposed: a
+    # RIGHT family whose eigenvalues need Q(sqrt 2)
+    companion = Mat.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 3]])
+    band = [E(4, 0, j) for j in range(4)] + [block_diag(Mat.zero(1), companion)]
+    v = span(band).conjugate(_invertible(4, 29)).transpose_space()
+    assert classify_rank_one_family(v).side == "RIGHT"
+    res = triangularize_rank_one(v)
+    assert res.field is not None and res.field.degree == 2
+    assert verify_triangular(v, res.P)
+    assert all(c.is_zero() for c in res.certificate)
 
 
 def test_rank_one_success_is_similarity_invariant():

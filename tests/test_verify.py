@@ -94,15 +94,23 @@ def test_structure_not_equality_case():
 
 
 def test_structure_exceptional_variants():
-    cases = [("diag3", 4, "diag"), ("nilrank1_plus_C", 4, "nil1_plus_scalar"),
-             ("nilrank2", 4, "nil2"), ("diag2", 3, "diag")]
-    for variant, n, tag in cases:
-        v = rank_one_max_space(n, variant).conjugate(_invertible(n, 17))
-        verdict = structure_check(v, 32, 11)
-        assert verdict.status == "EXCEPTIONAL", (variant, verdict)
-        assert verdict.tag == tag
-        assert v.conjugate(verdict.witness_basis) == \
-            exceptional_extremal_space(n, 1, tag)
+    # n - k = 3 and n - k = 2 bands, each under three conjugators and transposed
+    cases = [(rank_one_max_space(4, "diag3"), 1, "diag"),
+             (rank_one_max_space(4, "nilrank1_plus_C"), 1, "nil1_plus_scalar"),
+             (rank_one_max_space(4, "nilrank2"), 1, "nil2"),
+             (rank_one_max_space(3, "diag2"), 1, "diag")]
+    cases += [(exceptional_extremal_space(5, 2, tag), 2, tag)
+              for tag in ("diag", "nil1_plus_scalar", "nil2")]
+    for base, k, tag in cases:
+        target = exceptional_extremal_space(base.n, k, tag)
+        for seed in (17, 18, 19):
+            v = base.conjugate(_invertible(base.n, seed))
+            for w, transposed in ((v, False), (v.transpose_space(), True)):
+                verdict = structure_check(w, 32, 11)
+                assert verdict.status == "EXCEPTIONAL", (tag, seed, verdict)
+                assert verdict.tag == tag
+                assert verdict.transposed == transposed
+                assert v.conjugate(verdict.witness_basis) == target
 
 
 def test_structure_exceptional_higher_band():
