@@ -244,7 +244,7 @@ def _triangularize_family(mats, n, field, rng):
         if bad is not None:
             raise InvariantFailureError(b0, bad[0], bad[1])
     m = len(subspace)
-    one = _lift(Mat.identity(1), field)[0, 0]
+    one = Fraction(1) if field is None else field.one()
     p1 = mat_from_columns(complete_basis(subspace, n, one))
     p1_inv = p1.inverse()
     conj = [p1_inv @ a @ p1 for a in mats]

@@ -217,17 +217,25 @@ def _match_exceptional(qspace, seed):
     """(P, tag) with qspace.conjugate(P^{-1}) the tagged exceptional
     commutative space, or None.
 
-    The first member (basis first, then random combinations) with a cyclic
-    vector among the unit vectors and the all-ones vector decides: if qspace
-    is similar to a tagged space, that member generates it, its eigenvalues
-    are rational, and P = K_A K_G^{-1} carries the Jordan matrix G with the
-    same eigenvalues onto it (all-ones is cyclic for every such G).
+    The first nonderogatory member (basis first, then random combinations)
+    decides: if qspace is similar to a tagged space, that member generates
+    it, its eigenvalues are rational, and P = K_A K_G^{-1} carries the
+    Jordan matrix G with the same eigenvalues onto it, where K_A and K_G are
+    Krylov bases of cyclic vectors (all-ones is cyclic for every such G).
+
+    The cyclic vector of A is sought among the unit vectors and the points
+    (1, t, ..., t^{m-1}), t = 1 .. m(m-1), of the moment curve (t = 0 is the
+    first unit vector).  A nonderogatory A has one maximal invariant
+    subspace per distinct irreducible factor of its characteristic
+    polynomial, at most m, and each lies in a hyperplane that meets the
+    curve in at most m - 1 points, so one of the m(m-1) + 1 curve points is
+    cyclic.  No probe is cyclic exactly when A is derogatory.
     """
     m = qspace.n
     if qspace.dim != m:
         return None
     probes = [Mat.column([int(i == j) for i in range(m)]) for j in range(m)]
-    probes.append(Mat.column([1] * m))
+    probes += [Mat.column([t ** i for i in range(m)]) for t in range(1, m * (m - 1) + 1)]
     rng = random.Random(seed)
     for attempt in range(24):
         a = (qspace.basis[attempt] if attempt < m
@@ -241,9 +249,11 @@ def _match_exceptional(qspace, seed):
         if tag is None:
             return None
         lams = [lam for mult, lam in eigen for _ in range(mult)]
-        g = Mat.from_rows([[lams[i] if i == j else int(j == i + 1 and lams[i] == lams[j])
-                            for j in range(m)] for i in range(m)])  # Jordan matrix
-        p = k_a @ _krylov(g, probes[-1]).inverse()
+        g = Mat.diagonal(lams)  # the Jordan matrix: ones above repeated eigenvalues
+        for i in range(m - 1):
+            if lams[i] == lams[i + 1]:
+                g = g + Mat.unit(m, i, i + 1)
+        p = k_a @ _krylov(g, Mat.column([1] * m)).inverse()
         if qspace.conjugate(p.inverse()) == commutative_exceptional_space(m, tag):
             return p, tag
         return None

@@ -4,7 +4,7 @@ from crlab.constructions import (exceptional_extremal_space, extremal_space,
                                  firstcol_zero_space, flanders_space,
                                  lastrow_zero_space, rank_one_max_space,
                                  schur_space, valid_splits)
-from crlab.linalg import Mat, charpoly_discriminant, random_matrix
+from crlab.linalg import Mat, block_diag, charpoly_discriminant, random_matrix
 from crlab.subspace import span, zero_space
 from crlab.verify import (algebra_structure_report, find_distinct_eigenvalue_element,
                           flanders_check, structure_check)
@@ -101,13 +101,20 @@ def test_structure_exceptional_variants():
              (rank_one_max_space(3, "diag2"), 1, "diag")]
     cases += [(exceptional_extremal_space(5, 2, tag), 2, tag)
               for tag in ("diag", "nil1_plus_scalar", "nil2")]
+    # under these two 3x3 conjugators no unit vector and not the all-ones vector
+    # is cyclic for the diag (first) or nil1_plus_scalar (second) quotient
+    adversarial = [Mat.from_rows([[1, 1, -2], [1, 0, 0], [0, 1, 1]]).inverse(),
+                   Mat.from_rows([[0, 0, 1], [1, 0, -1], [0, 1, 0]]).inverse()]
     for base, k, tag in cases:
         target = exceptional_extremal_space(base.n, k, tag)
-        for seed in (17, 18, 19):
-            v = base.conjugate(_invertible(base.n, seed))
+        conjugators = [_invertible(base.n, seed) for seed in (17, 18, 19)]
+        if base.n - k == 3:
+            conjugators += [block_diag(Mat.identity(k), q) for q in adversarial]
+        for c in conjugators:
+            v = base.conjugate(c)
             for w, transposed in ((v, False), (v.transpose_space(), True)):
                 verdict = structure_check(w, 32, 11)
-                assert verdict.status == "EXCEPTIONAL", (tag, seed, verdict)
+                assert verdict.status == "EXCEPTIONAL", (tag, c, verdict)
                 assert verdict.tag == tag
                 assert verdict.transposed == transposed
                 assert v.conjugate(verdict.witness_basis) == target
