@@ -79,11 +79,12 @@ class BoundReport:
 def _sample(v, trials, seed, entry_bound, stop_above):
     """Exact maximum of rank[A, B] over sampled pairs, with its first witness.
 
-    Each trial draws the d coefficients of A, then the d coefficients of B.
-    Sampling stops early once a rank exceeds ``stop_above``.  The basis is
-    scaled by the lcm of its denominators, which changes no commutator rank,
-    so the pairs are combined, commuted and ranked over Python ints; only the
-    returned witness is built as rational matrices.
+    ``v`` is anything with ``n`` and ``integer_basis()`` (a MatrixSubspace or
+    an InvariantSpaceSpec).  Each trial draws the d coefficients of A, then
+    the d coefficients of B.  Sampling stops early once a rank exceeds
+    ``stop_above``.  The basis is scaled by the lcm of its denominators, which
+    changes no commutator rank, so the pairs are combined, commuted and ranked
+    over Python ints; only the returned witness is built as rational matrices.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -21,18 +21,25 @@ Closure rules (least fixpoint):
                                   blocks, for a difference e_i - e_j every
                                   upper pair touching i or j
 
-The search maximizes dimension over all closed specs whose realized space
-passes the sampled rank condition, pruning specs that contain the bidiagonal
-staircase through index k+1 (their commutator witness exceeds rank k without
-any sampling).  Specs are scanned one after another in descending dimension,
+The search maximizes dimension over all closed specs whose space passes the
+sampled rank condition, pruning specs that contain the bidiagonal staircase
+through index k+1 (their commutator witness exceeds rank k without any
+sampling).  Specs are scanned one after another in descending dimension,
 and the rank that refutes a spec is exact over Q.
+
+Why triangular-invariant spaces attain the maximum: the d-dimensional spaces
+with rank [A, B] <= k form a closed subvariety of Gr(d, M_n) stable under the
+upper-triangular Borel group; when it is nonempty, Borel's fixed-point theorem
+(Borel, "Groupes linéaires algébriques", 1956) gives a fixed point in it, a
+triangular-invariant space of the same dimension.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .commrank import dimension_bound, satisfies_rank_condition
 from .linalg import Mat, VectorSpan
@@ -73,9 +80,24 @@ class InvariantSpaceSpec:
             if not i > j:
                 raise ValueError("difference generators are stored as (i, j), i > j")
 
+    @cached_property
+    def _diag_span(self):
+        """Span of the block indicators and the forced differences e_i - e_j."""
+        gens = []
+        for block in self.diag_blocks:
+            g = [Fraction(0)] * self.n
+            for x in block:
+                g[x] = Fraction(1)
+            gens.append(g)
+        for (i, j) in sorted(self.forced_diffs):
+            g = [Fraction(0)] * self.n
+            g[i], g[j] = Fraction(1), Fraction(-1)
+            gens.append(g)
+        return VectorSpan(self.n, gens)
+
     @property
     def diag_dim(self):
-        return VectorSpan(self.n, _diag_generators(self)).dim
+        return self._diag_span.dim
 
     @property
     def dim(self):
@@ -84,26 +106,29 @@ class InvariantSpaceSpec:
     def realize(self):
         """The described space as a canonical MatrixSubspace."""
         mats = [Mat.unit(self.n, i, j) for (i, j) in sorted(self.units)]
-        mats += [Mat.diagonal(g) for g in _diag_generators(self)]
+        mats += [Mat.diagonal(g) for g in self._diag_span.rows]
         return MatrixSubspace.span(mats, self.n, self.n)
+
+    def integer_basis(self):
+        """``realize().integer_basis()`` without realizing: a unit (i, j) is
+        ``scale`` at flat i*n + j, and the diagonal RREF rows, cleared by their
+        lcm ``scale``, lie on the flats x*(n + 1); rows go by pivot."""
+        n, span = self.n, self._diag_span
+        scale = math.lcm(*(x.denominator for r in span.rows for x in r))
+        rows = []
+        for (i, j) in self.units:
+            rows.append([0] * (n * n))
+            rows[-1][i * n + j] = scale
+        for r in span.rows:
+            rows.append([0] * (n * n))
+            rows[-1][::n + 1] = [x.numerator * (scale // x.denominator) for x in r]
+        # every row is zero before its pivot entry, which is positive, so the
+        # descending lexicographic order is the ascending pivot order
+        rows.sort(reverse=True)
+        return scale, rows
 
     def sort_key(self):
         return (sorted(self.units), self.diag_blocks, sorted(self.forced_diffs))
-
-
-def _diag_generators(spec):
-    gens = []
-    for block in spec.diag_blocks:
-        g = [Fraction(0)] * spec.n
-        for x in block:
-            g[x] = Fraction(1)
-        gens.append(tuple(g))
-    for (i, j) in sorted(spec.forced_diffs):
-        g = [Fraction(0)] * spec.n
-        g[i] = Fraction(1)
-        g[j] = Fraction(-1)
-        gens.append(tuple(g))
-    return gens
 
 
 def _canonical_blocks(blocks):
@@ -141,9 +166,10 @@ def _closure_masks(n):
     return pos, tuple(masks)
 
 
-def _close_mask(mask, masks):
-    """Least superset of ``mask`` that contains masks[b] for each bit b in it."""
-    todo = mask
+def _close_mask(mask, masks, todo=None):
+    """Least superset of ``mask`` that contains masks[b] for each bit b in it;
+    only bits in ``todo`` (default: all of ``mask``) may force new ones."""
+    todo = mask if todo is None else todo
     while todo:
         low = todo & -todo
         todo ^= low
@@ -229,7 +255,8 @@ def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD):
 
     The closed position sets are found directly: starting from the empty
     set, each one found is extended by one position and closed again, so
-    every closed set C is reached along a chain inside C.  They are yielded
+    every closed set C is reached along a chain inside C; as the set is
+    already closed, only the new position is expanded.  They are yielded
     in ascending bitmask order.  For each set S the diagonal part ranges over
     all partitions that merge only blocks allowed by R4: indices touched by a
     lower position stay singletons (their differences are forced), and any
@@ -240,10 +267,14 @@ def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD):
             f"n={n} exceeds the resource guard {max_n}; override max_n to force")
     pos, masks = _closure_masks(n)
     closed, frontier = {0}, [0]
+    full = (1 << len(pos)) - 1
     while frontier:
         mask = frontier.pop()
-        for b in range(len(pos)):
-            c = _close_mask(mask | 1 << b, masks)
+        free = full & ~mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = _close_mask(mask | bit, masks, bit)
             if c not in closed:
                 closed.add(c)
                 frontier.append(c)
@@ -304,10 +335,11 @@ class SearchReport:
 
 
 def _evaluate_spec(spec, k, trials, seed):
-    """(dim, verdict-ish) for one spec: 'pruned', 'no', or 'yes'."""
+    """One spec's outcome, sampled over its own integer rows: 'pruned',
+    'no' (certified) or 'yes' (probable)."""
     if has_bidiagonal_staircase(spec, k):
         return "pruned"
-    verdict = satisfies_rank_condition(spec.realize(), k, trials, seed)
+    verdict = satisfies_rank_condition(spec, k, trials, seed)
     return "no" if verdict.certified_no else "yes"
 
 

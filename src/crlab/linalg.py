@@ -123,9 +123,6 @@ class Mat:
     def col(self, j):
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
-    def rows_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def block(self, r0, r1, c0, c1):
         """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
         return Mat(r1 - r0, c1 - c0,

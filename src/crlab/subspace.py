@@ -155,16 +155,6 @@ class MatrixSubspace:
                     return False
         return True
 
-    def is_jordan_closed(self):
-        """Closed under the Jordan product AB + BA."""
-        if not self.is_square:
-            raise ValueError("square spaces only")
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i:]:
-                if not self.contains(a @ b + b @ a):
-                    return False
-        return True
-
     # -- sampling ---------------------------------------------------------------
 
     def random_element(self, rng, entry_bound):

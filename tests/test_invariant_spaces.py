@@ -56,21 +56,40 @@ def test_closure_is_extensive_monotone_idempotent():
             assert c.units <= cb.units
 
 
+def _random_partition_spec(n, rng):
+    """Random units on a random partition with random difference generators."""
+    blocks = [[] for _ in range(n)]
+    for x in range(n):
+        blocks[rng.randrange(n)].append(x)
+    diffs = frozenset((i, j) for i in range(n) for j in range(i)
+                      if rng.random() < 0.15)
+    return InvariantSpaceSpec(n, _random_spec(n, rng).units,
+                              tuple(tuple(b) for b in blocks if b), diffs)
+
+
 def test_closure_with_partition_and_differences_is_invariant():
     rng = random.Random(61)
     for _ in range(60):
-        n = rng.choice((2, 3, 4))
-        blocks = [[] for _ in range(n)]
-        for x in range(n):
-            blocks[rng.randrange(n)].append(x)
-        diffs = frozenset((i, j) for i in range(n) for j in range(i)
-                          if rng.random() < 0.15)
-        spec = InvariantSpaceSpec(n, _random_spec(n, rng).units,
-                                  tuple(tuple(b) for b in blocks if b), diffs)
+        spec = _random_partition_spec(rng.choice((2, 3, 4)), rng)
         c = triangular_closure(spec)
         assert spec.realize() <= c.realize()
         assert triangular_closure(c) == c
         assert is_triangular_invariant(c.realize())
+
+
+def test_spec_integer_basis_matches_realized():
+    rng = random.Random(43)
+    specs = [s for n in range(2, 7) for s in enumerate_invariant_spaces(n)]
+    specs += [triangular_closure(_random_partition_spec(rng.choice((3, 4, 5, 6)), rng))
+              for _ in range(80)]
+    assert any(s.forced_diffs for s in specs)
+    for s in specs:
+        assert s.integer_basis() == s.realize().integer_basis()
+    # the search samples a spec exactly as it would sample its realized space
+    for spec in list(enumerate_invariant_spaces(5))[::25]:
+        for k in range(5):
+            assert (satisfies_rank_condition(spec, k, 32, 11)
+                    == satisfies_rank_condition(spec.realize(), k, 32, 11))
 
 
 # -- the invariance predicate -----------------------------------------------------
