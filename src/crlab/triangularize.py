@@ -208,14 +208,10 @@ def _find_singular_shift(mats, field, rng):
 
 
 def _column_space(m):
-    """Independent columns of m, as column vectors."""
-    span = VectorSpan(m.rows)
-    cols = []
-    for j in range(m.cols):
-        c = m.col(j)
-        if span.add(c):
-            cols.append(Mat.column(c))
-    return cols
+    """The echelon basis of the column space of m, as column vectors (its
+    entries stay small where raw columns of m may not)."""
+    span = VectorSpan(m.rows, (m.col(j) for j in range(m.cols)))
+    return [Mat.column(r) for r in span.rows]
 
 
 def _is_invariant(mats, vectors):

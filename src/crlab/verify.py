@@ -4,9 +4,12 @@ bound for rectangular spaces, and recovery of the extremal block structure.
 The structure check is deterministic given a basis: the core invariant
 subspace is the smallest invariant subspace containing every basis-pair
 commutator's column space (bilinearity makes basis sums exact, not just
-generic), the middle strip comes from the nilpotent parts of the induced
-quotient action, and a candidate similarity is accepted only when conjugation
-lands exactly on the canonical construction (span equality, no tolerance).
+generic); basis pairs are scanned only until their columns span as many
+dimensions as the sampled rank level, which already gives the whole core
+whenever the space can match.  The middle strip comes from the nilpotent
+parts of the induced quotient action, and a candidate similarity is
+accepted only when conjugation lands exactly on the canonical construction
+(span equality, no tolerance).
 
 An exceptional quotient (``diag``, ``nil1_plus_scalar`` or ``nil2``) is the
 algebra of polynomials in any of its nonderogatory members, and the tag is
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .commrank import dimension_bound, max_commutator_rank
 from .constructions import (commutative_exceptional_space, exceptional_extremal_space,
@@ -147,7 +151,7 @@ def _match_block_form(w, k, seed):
     recovery fails.
     """
     n = w.n
-    core = _commutator_core(w) if k else []
+    core = _commutator_core(w, k)
     if len(core) != k:
         return None
     p1_cols = complete_basis(core, n)
@@ -176,17 +180,31 @@ def _match_block_form(w, k, seed):
     return None
 
 
-def _commutator_core(w):
-    """Smallest invariant subspace containing all basis-pair commutator
-    columns, as a list of column vectors."""
+def _commutator_core(w, k):
+    """The core C, the smallest invariant subspace containing every
+    basis-pair commutator column, as column vectors in RREF order, when
+    dim C = k; otherwise some invariant subspace inside C that the caller
+    will reject or fail to match.
+
+    The scan of basis pairs stops once the collected columns span k
+    dimensions; the span S is then closed under the basis.  S lies in C,
+    so when dim C = k the first k-dimensional S is C itself, and the RREF
+    rows, the witness and the verdict are those of the full scan.  When
+    dim C != k the full scan gives a core the caller rejects; the result
+    here is either rejected too or passed to the exact conjugation test,
+    which then fails: C is carried along by a similarity, and every space
+    the test accepts (V_k and the exceptional spaces) has a k-dimensional
+    core.
+    """
     n = w.n
     span = VectorSpan(n)
     basis = w.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            c = commutator(basis[i], basis[j])
-            for col in range(n):
-                span.add(c.col(col))
+    for a, b in combinations(basis, 2):
+        if span.dim >= k:
+            break
+        c = commutator(a, b)
+        for col in range(n):
+            span.add(c.col(col))
     grew = True
     while grew:
         grew = False

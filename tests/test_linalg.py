@@ -111,26 +111,56 @@ def test_rank_invariant_under_invertible_factors():
 
 _ENTRY = st.one_of(st.just(Fraction(0)),
                    st.fractions(min_value=-9, max_value=9, max_denominator=7))
-_SQUARE = st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _squares(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _q(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[_q(x) for x in r] for r in rows])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_SQUARE)
+@given(_squares(4))
 def test_rank_det_inverse_agree_with_sympy(rows):
     m = Mat.from_rows(rows)
-    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                        for r in rows])
+    ref = _sympy_matrix(rows)
     assert m.rank() == ref.rank()
     det = m.det()
-    assert sympy.Rational(det.numerator, det.denominator) == ref.det()
+    assert _q(det) == ref.det()
     if det:
         inv = m.inverse()
-        assert [[sympy.Rational(x.numerator, x.denominator) for x in inv.row(i)]
-                for i in range(m.rows)] == ref.inv().tolist()
+        assert [[_q(x) for x in inv.row(i)] for i in range(m.rows)] == ref.inv().tolist()
     else:
         with pytest.raises(SingularMatrixError):
             m.inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_squares(5))
+def test_kernel_basis_spans_sympy_nullspace(rows):
+    # the drawn matrix, and a singular one: its last row replaced by the sum of the others
+    singular = rows[:-1] + [[sum(r[j] for r in rows[:-1]) for j in range(len(rows))]]
+    for r in (rows, singular):
+        ours = [sympy.Matrix([_q(x) for x in k.data]) for k in Mat.from_rows(r).kernel_basis()]
+        theirs = _sympy_matrix(r).nullspace()
+        assert len(ours) == len(theirs)
+        if ours:
+            assert sympy.Matrix.hstack(*ours).rank() == len(ours)
+            assert sympy.Matrix.hstack(*ours, *theirs).rank() == len(ours)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_squares(5))
+def test_charpoly_agrees_with_sympy(rows):
+    ref = _sympy_matrix(rows).charpoly(sympy.Symbol("x")).all_coeffs()
+    assert [_q(c) for c in reversed(Mat.from_rows(rows).charpoly())] == ref
 
 
 def test_distinct_eigenvalues_imply_full_krylov_rank():

@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
+from crlab import verify
 from crlab.constructions import (exceptional_extremal_space, extremal_space,
                                  firstcol_zero_space, flanders_space,
                                  lastrow_zero_space, rank_one_max_space,
                                  schur_space, valid_splits)
-from crlab.linalg import Mat, block_diag, charpoly_discriminant, random_matrix
+from crlab.linalg import (Mat, VectorSpan, block_diag, charpoly_discriminant,
+                          commutator, random_matrix)
 from crlab.subspace import span, zero_space
 from crlab.verify import (algebra_structure_report, find_distinct_eigenvalue_element,
                           flanders_check, structure_check)
@@ -136,6 +141,76 @@ def test_structure_match_is_exact_or_refused():
             verdict = structure_check(v, 32, 9)
             assert verdict.status == "MATCHES_VK"
             assert v.conjugate(verdict.witness_basis) == extremal_space(n, k, verdict.l)
+
+
+# -- the commutator core ------------------------------------------------------------
+
+def _full_scan_core(w):
+    """Reference core: the columns of every basis-pair commutator (over the
+    integers, basis scaled by the lcm of its denominators), then closure
+    under the basis, as the RREF rows of the span."""
+    n = w.n
+    _, rows = w.integer_basis()
+    mats = [[row[i * n:(i + 1) * n] for i in range(n)] for row in rows]
+    cols = set()
+    for a, b in combinations(mats, 2):
+        for j in range(n):
+            col = tuple(sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n))
+                        for i in range(n))
+            g = gcd(*col)
+            if g:
+                cols.add(tuple(Fraction(x, g) for x in col))
+    span = VectorSpan(n, sorted(cols))
+    while True:
+        images = [(a @ Mat.column(r)).data for a in w.basis for r in span.rows]
+        grown = VectorSpan(n, span.rows + images)
+        if grown.dim == span.dim:
+            return span.rows
+        span = grown
+
+
+def _matchable_spaces(max_n):
+    """(space, k): every extremal space and every exceptional space the
+    structure check can match, for n <= max_n."""
+    for n in range(2, max_n + 1):
+        for k in range(n):
+            for l in valid_splits(n, k):
+                yield extremal_space(n, k, l), k
+            for tag in {2: ("diag",), 3: ("diag", "nil1_plus_scalar", "nil2")}.get(n - k, ()):
+                yield exceptional_extremal_space(n, k, tag), k
+
+
+def test_matchable_spaces_have_core_of_dimension_k():
+    # the fact that lets the core scan stop at dimension k
+    for w, k in _matchable_spaces(7):
+        assert len(_full_scan_core(w)) == k, (w.n, k, w.dim)
+
+
+def test_commutator_core_agrees_with_full_scan():
+    rng = random.Random(41)
+    for w, k in _matchable_spaces(6):
+        v = w.conjugate(_invertible(w.n, rng.randint(0, 10 ** 6)))
+        for u in (v, v.transpose_space()):
+            ref = _full_scan_core(u)
+            core = [c.data for c in verify._commutator_core(u, k)]
+            assert VectorSpan(u.n, ref + core).dim == len(ref)  # core lies in C
+            if len(ref) == k:
+                assert core == [tuple(r) for r in ref]
+
+
+def test_structure_check_same_with_full_scan_core(monkeypatch):
+    # transposed inputs: the first side's core exceeds k, the second side matches
+    rng = random.Random(43)
+    inputs = []
+    for w, k in _matchable_spaces(5):
+        if k:
+            v = w.conjugate(_invertible(w.n, rng.randint(0, 10 ** 6)))
+            inputs += [v, v.transpose_space()]
+    verdicts = [structure_check(v, 32, 3) for v in inputs]
+    monkeypatch.setattr(verify, "_commutator_core",
+                        lambda w, k: [Mat.column(r) for r in _full_scan_core(w)])
+    assert [structure_check(v, 32, 3) for v in inputs] == verdicts
+    assert all(v.status != "NO_MATCH" for v in verdicts)
 
 
 # -- combined algebra reports ----------------------------------------------------------
