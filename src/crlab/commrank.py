@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, _bareiss
+from .linalg import Mat, _bareiss, _int_commutator
 
 __all__ = [
     "CommutatorProfile",
@@ -76,33 +76,44 @@ class BoundReport:
     note: str
 
 
+# The records of the last scan that ran to the top rank level, keyed by the
+# identity of its subspace: they answer the rank condition at every k < n, so
+# `analyze --k` samples once.  Replaced, never mutated.
+_last_full_scan = None
+
+
 def _sample(v, trials, seed, entry_bound, stop_above):
-    """Exact maximum of rank[A, B] over sampled pairs, with its first witness.
+    """The running-maximum records of rank[A, B] over sampled pairs.
 
     ``v`` is anything with ``n`` and ``integer_basis()`` (a MatrixSubspace or
     an InvariantSpaceSpec).  Each trial draws the d coefficients of A, then
-    the d coefficients of B.  Sampling stops early once a rank exceeds
-    ``stop_above``.  The basis is scaled by the lcm of its denominators, which
-    changes no commutator rank, so the pairs are combined, commuted and ranked
-    over Python ints; only the returned witness is built as rational matrices.
+    the d coefficients of B.  Returns (scale, records): each record is
+    (rank, A, B) for a pair whose exact rank beats every earlier one, in draw
+    order, with A and B flat integer matrices to be divided by ``scale``.
+    Sampling stops early once a rank exceeds ``stop_above``.  The basis is
+    scaled by the lcm of its denominators, which changes no commutator rank,
+    so the pairs are combined, commuted and ranked over Python ints.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = v.n
     scale, rows = v.integer_basis()
     rng = random.Random(seed)
-    best = -1
+    records = [(-1, None, None)]
     for _ in range(trials):
         ca = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         cb = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         a, b = _combine(rows, ca, n), _combine(rows, cb, n)
-        r = _bareiss(_commutator_rows(a, b, n))[0]
-        if r > best:
-            best, pair = r, (a, b)
-            if best > stop_above:
+        r = _bareiss(_int_commutator(a, b, n))[0]
+        if r > records[-1][0]:
+            records.append((r, a, b))
+            if r > stop_above:
                 break
-    witness = tuple(Mat(n, n, [Fraction(x, scale) for x in m]) for m in pair)
-    return best, witness
+    return scale, records[1:]
+
+
+def _witness(v, scale, record):
+    return tuple(Mat(v.n, v.n, [Fraction(x, scale) for x in m]) for m in record[1:])
 
 
 def _combine(rows, coeffs, n):
@@ -115,42 +126,39 @@ def _combine(rows, coeffs, n):
     return acc
 
 
-def _commutator_rows(a, b, n):
-    """AB - BA for flat row-major integer matrices, as a list of rows."""
-    cols_a = [a[j::n] for j in range(n)]
-    cols_b = [b[j::n] for j in range(n)]
-    out = []
-    for i in range(n):
-        ra, rb = a[i * n:(i + 1) * n], b[i * n:(i + 1) * n]
-        out.append([sum(x * y for x, y in zip(ra, cb))
-                    - sum(x * y for x, y in zip(rb, ca))
-                    for ca, cb in zip(cols_a, cols_b)])
-    return out
-
-
 def max_commutator_rank(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
     """Sampled maximum of rank[A, B]; the maximizing pair is kept as witness.
 
     Exact ranks throughout, so certified_lower == probable_max and the stored
     pair reproduces it under recomputation.  Deterministic in (v, trials, seed).
     """
-    best, witness = _sample(v, trials, seed, entry_bound, v.n - 1)
-    return CommutatorProfile(probable_max=best, certified_lower=best,
-                             witness=witness, trials=trials, seed=seed)
+    global _last_full_scan
+    scale, records = _sample(v, trials, seed, entry_bound, v.n - 1)
+    _last_full_scan = (v, trials, seed, entry_bound, scale, records)
+    best = records[-1]
+    return CommutatorProfile(probable_max=best[0], certified_lower=best[0],
+                             witness=_witness(v, scale, best), trials=trials, seed=seed)
 
 
 def satisfies_rank_condition(v, k, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
     """Decide "rank[A,B] <= k for all pairs" by sampling.
 
     CERTIFIED_NO carries the first sampled pair whose exact commutator rank
-    exceeds k.  PROBABLE_YES records the trial budget.
+    exceeds k.  PROBABLE_YES records the trial budget.  A scan of the same
+    (v, trials, seed) by :func:`max_commutator_rank` drew the same pairs and
+    ran at least as far, so its records are reused instead of sampling again.
     """
     if not 0 <= k < v.n:
         raise ValueError("need 0 <= k < n")
-    best, witness = _sample(v, trials, seed, entry_bound, k)
-    if best > k:
-        return RankVerdict("CERTIFIED_NO", k, trials, seed,
-                           witness=witness, witness_rank=best)
+    last = _last_full_scan
+    if last is not None and last[0] is v and last[1:4] == (trials, seed, entry_bound):
+        scale, records = last[4:]
+    else:
+        scale, records = _sample(v, trials, seed, entry_bound, k)
+    for record in records:
+        if record[0] > k:
+            return RankVerdict("CERTIFIED_NO", k, trials, seed,
+                               witness=_witness(v, scale, record), witness_rank=record[0])
     return RankVerdict("PROBABLE_YES", k, trials, seed)
 
 

@@ -36,13 +36,12 @@ triangular-invariant space of the same dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .commrank import dimension_bound, satisfies_rank_condition
-from .linalg import Mat, VectorSpan
+from .linalg import Mat, VectorSpan, _clear_denominators
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -114,14 +113,14 @@ class InvariantSpaceSpec:
         ``scale`` at flat i*n + j, and the diagonal RREF rows, cleared by their
         lcm ``scale``, lie on the flats x*(n + 1); rows go by pivot."""
         n, span = self.n, self._diag_span
-        scale = math.lcm(*(x.denominator for r in span.rows for x in r))
+        scale, diag = _clear_denominators(span.rows)
         rows = []
         for (i, j) in self.units:
             rows.append([0] * (n * n))
             rows[-1][i * n + j] = scale
-        for r in span.rows:
+        for r in diag:
             rows.append([0] * (n * n))
-            rows[-1][::n + 1] = [x.numerator * (scale // x.denominator) for x in r]
+            rows[-1][::n + 1] = r
         # every row is zero before its pivot entry, which is positive, so the
         # descending lexicographic order is the ascending pivot order
         rows.sort(reverse=True)

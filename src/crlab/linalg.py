@@ -9,6 +9,17 @@ Rank and determinant over Q go through Bareiss fraction-free elimination on a
 denominator-cleared integer matrix, with the pivot chosen as the first nonzero
 entry of the current column (lowest row index), which keeps results
 deterministic and avoids coefficient blowup.
+
+The other rational kernels also run over Python ints.  A product or a
+commutator of two rational matrices clears each operand's denominators once
+(one lcm per matrix), multiplies over ints and builds one Fraction per output
+entry over the product of the two lcms; the sampler in :mod:`crlab.commrank`
+uses the same integer commutator.  :func:`rref_rows` on rational rows with
+some denominator > 1 runs fraction-free Gauss–Jordan elimination over ints,
+in the style of Bareiss (1968), keeping each row primitive, and divides each
+pivot row by its pivot at the end.  The RREF is unique, so it returns the rows the field
+loop would.  Integer-valued rows and Q(theta) rows stay on the field loop,
+which is faster for them.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "Mat",
@@ -162,6 +174,10 @@ class Mat:
             raise ValueError("inner dimension mismatch")
         m, k, n = self.rows, self.cols, other.cols
         a, b = self.data, other.data
+        if isinstance(a[0], Fraction) and isinstance(b[0], Fraction):
+            la, (ia,) = _clear_denominators((a,))
+            lb, (ib,) = _clear_denominators((b,))
+            return Mat(m, n, _fractions(_int_product(ia, ib, m, k, n), la * lb))
         out = []
         for i in range(m):
             arow = a[i * k:(i + 1) * k]
@@ -343,6 +359,36 @@ def _one_like(x):
     return x.field.one()
 
 
+def _clear_denominators(rows):
+    """(L, ints): L is the lcm of every denominator in ``rows`` (sequences of
+    Fractions) and ints[i] is L times rows[i] as a list of ints."""
+    scale = math.lcm(*(x.denominator for r in rows for x in r))
+    return scale, [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
+
+
+def _fractions(ints, d):
+    """The rationals x / d for the ints x, sharing one zero."""
+    return [Fraction(x, d) if x else _ZERO for x in ints]
+
+
+def _int_product(a, b, m, k, n):
+    """AB for flat row-major integer matrices (m-by-k times k-by-n), flat."""
+    cols = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i:i + k], c)) for i in range(0, m * k, k) for c in cols]
+
+
+def _int_commutator(a, b, n):
+    """AB − BA for flat row-major integer n-by-n matrices, as a list of rows."""
+    cols_a = [a[j::n] for j in range(n)]
+    cols_b = [b[j::n] for j in range(n)]
+    out = []
+    for i in range(0, n * n, n):
+        ra, rb = a[i:i + n], b[i:i + n]
+        out.append([sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
+                    for ca, cb in zip(cols_a, cols_b)])
+    return out
+
+
 def _bareiss(rows):
     """Fraction-free elimination of an integer matrix in place; returns
     (rank, sign of the row swaps).  For a square matrix of full rank the
@@ -383,12 +429,17 @@ def rref_rows(rows):
     """Reduce rows in place to reduced row echelon form; return pivot columns.
 
     Works over any exact field whose elements support +, -, *, / and
-    truthiness (Fraction, number-field elements).
+    truthiness (Fraction, number-field elements).  Rational rows with some
+    denominator > 1 go through :func:`_rref_integer`; integer-valued and
+    Q(theta) rows are reduced here, one field division per pivot row.
     """
     m = len(rows)
     if m == 0:
         return []
     n = len(rows[0])
+    if n and isinstance(rows[0][0], Fraction) and any(
+            x.denominator != 1 for r in rows for x in r):
+        return _rref_integer(rows)
     pivots = []
     r = 0
     for c in range(n):
@@ -417,10 +468,61 @@ def rref_rows(rows):
     return pivots
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries (zero rows unchanged)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref_integer(rows):
+    """:func:`rref_rows` for rational rows: fraction-free Gauss–Jordan.
+
+    The rows are cleared of denominators and every row is kept primitive
+    (its entries coprime), so entries stay small.  Eliminating column c from
+    row i with pivot row r replaces row i by (pv*row_i − f*row_r) / gcd(pv, f).
+    At the end each pivot row is divided by its pivot, which gives the unique
+    RREF: the same rows the field loop produces.
+    """
+    work = [_primitive(r) for r in _clear_denominators(rows)[1]]
+    m, n = len(work), len(work[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if work[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pr = work[r]
+        pv = pr[c]
+        for i in range(m):
+            f = work[i][c]
+            if f and i != r:
+                g = math.gcd(pv, f)
+                p, q = pv // g, f // g
+                work[i] = _primitive([p * x - q * y for x, y in zip(work[i], pr)])
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    rows[:] = [_fractions(row, row[c]) for row, c in zip(work, pivots)]
+    rows += [[_ZERO] * n for _ in range(m - len(pivots))]
+    return pivots
+
+
 def commutator(a, b):
-    """AB − BA for square matrices of equal size."""
+    """AB − BA for square matrices of equal size; over Q in one integer pass
+    with the shared denominator L_a L_b."""
     if not (a.is_square and b.is_square and a.rows == b.rows):
         raise ValueError("commutator needs equal square matrices")
+    if isinstance(a.data[0], Fraction) and isinstance(b.data[0], Fraction):
+        la, (ia,) = _clear_denominators((a.data,))
+        lb, (ib,) = _clear_denominators((b.data,))
+        rows = _int_commutator(ia, ib, a.rows)
+        return Mat(a.rows, a.rows, _fractions([x for r in rows for x in r], la * lb))
     return a @ b - b @ a
 
 

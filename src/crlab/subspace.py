@@ -9,10 +9,9 @@ and the square-only predicates guard themselves.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .linalg import Mat, VectorSpan
+from .linalg import Mat, VectorSpan, _clear_denominators
 
 __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
@@ -64,9 +63,7 @@ class MatrixSubspace:
     def integer_basis(self):
         """(L, rows): L is the lcm of the basis denominators and rows[p] is
         L times the p-th canonical basis element as a flat list of ints."""
-        scale = math.lcm(*(x.denominator for b in self.basis for x in b.data))
-        return scale, [[x.numerator * (scale // x.denominator) for x in b.data]
-                       for b in self.basis]
+        return _clear_denominators([b.data for b in self.basis])
 
     def contains(self, m):
         if m.rows != self.rows or m.cols != self.cols:

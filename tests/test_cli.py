@@ -5,10 +5,11 @@ import sys
 import pytest
 
 from crlab.cli import main
+from crlab.commrank import satisfies_rank_condition
 from crlab.constructions import extremal_space, flanders_space
 from crlab.linalg import Mat
 from crlab.serialize import (SchemaError, read_subspace, subspace_from_dict,
-                             subspace_to_dict, write_subspace)
+                             subspace_to_dict, to_jsonable, write_subspace)
 from crlab.subspace import span
 
 
@@ -116,6 +117,21 @@ def test_search_guard_env(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+
+
+def test_analyze_rank_condition_equals_a_separate_sampling(tmp_path, capsys):
+    # analyze --k reads its verdict off the profile scan; it must be the
+    # verdict a separate satisfies_rank_condition call returns
+    q = Mat.from_rows([[2, 1, 0, 0, 1], [0, 3, 1, 0, 0], [1, 0, 5, 0, 0],
+                       [0, 0, 1, 7, 0], [1, 0, 0, 0, 1]])
+    path = tmp_path / "v.json"
+    write_subspace(path, extremal_space(5, 2, 1).conjugate(q))
+    for k, status in ((2, "PROBABLE_YES"), (1, "CERTIFIED_NO")):
+        code = run_cli("analyze", str(path), "--k", str(k), "--trials", "12", "--seed", "17")
+        got = json.loads(capsys.readouterr().out)["results"]["rank_condition"]
+        assert got["status"] == status and code == (0 if status == "PROBABLE_YES" else 1)
+        want = satisfies_rank_condition(read_subspace(path), k, 12, 17)
+        assert got == to_jsonable(want)  # status, witness pair and witness rank
 
 
 def test_triangularize_command(tmp_path, capsys):

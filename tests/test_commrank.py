@@ -184,3 +184,15 @@ def test_symbolic_agrees_with_sampling_at_n3():
                 assert sampled.status == "PROBABLE_YES"
             else:
                 assert sampled.status == "CERTIFIED_NO"
+
+
+def test_rank_condition_read_off_a_profile_scan():
+    # with entry bound 1 the running maximum climbs through several records,
+    # so the first record above k is not always the maximizing pair
+    v = full_space(3)
+    profile = max_commutator_rank(v, 24, 4, entry_bound=1)
+    assert profile.probable_max == 3
+    for k in range(3):
+        reused = satisfies_rank_condition(v, k, 24, 4, entry_bound=1)
+        assert reused == satisfies_rank_condition(full_space(3), k, 24, 4, entry_bound=1)
+    assert satisfies_rank_condition(v, 0, 24, 4, entry_bound=1).witness_rank < 3

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crlab import linalg
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, block_diag,
                           charpoly_discriminant, commutator, mat_from_columns,
                           random_matrix, rref_rows)
@@ -161,6 +163,73 @@ def test_kernel_basis_spans_sympy_nullspace(rows):
 def test_charpoly_agrees_with_sympy(rows):
     ref = _sympy_matrix(rows).charpoly(sympy.Symbol("x")).all_coeffs()
     assert [_q(c) for c in reversed(Mat.from_rows(rows).charpoly())] == ref
+
+
+def _matrices(rows, cols):
+    """rows-by-cols lists of entries; one draw in five is the zero matrix."""
+    drawn = st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)
+    return st.one_of(st.just([[Fraction(0)] * cols] * rows), drawn, drawn, drawn, drawn)
+
+
+def _as_sympy(m):
+    return _sympy_matrix([m.row(i) for i in range(m.rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(1, 5)] * 3).flatmap(
+    lambda s: st.tuples(_matrices(s[0], s[1]), _matrices(s[1], s[2]))))
+def test_product_agrees_with_sympy(pair):
+    a, b = pair
+    assert _as_sympy(Mat.from_rows(a) @ Mat.from_rows(b)) == _sympy_matrix(a) * _sympy_matrix(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(_matrices(n, n), _matrices(n, n))))
+def test_commutator_agrees_with_sympy(pair):
+    a, b = _sympy_matrix(pair[0]), _sympy_matrix(pair[1])
+    assert _as_sympy(commutator(*map(Mat.from_rows, pair))) == a * b - b * a
+
+
+def _rref_case(rows):
+    """rref_rows on a copy, recording whether the integer path ran."""
+    work = [list(r) for r in rows]
+    with mock.patch.object(linalg, "_rref_integer", wraps=linalg._rref_integer) as spy:
+        pivots = rref_rows(work)
+    return work, pivots, spy.called
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_rref_rows_agrees_with_sympy(rows):
+    # a dependent row forces a zero row; the integer-valued copy takes the field path
+    rows = rows + [[a - 2 * b for a, b in zip(rows[0], rows[-1])]]
+    for case in (rows, [[Fraction(x.numerator) for x in r] for r in rows]):
+        work, pivots, integer_path = _rref_case(case)
+        assert integer_path == any(x.denominator != 1 for r in case for x in r)
+        assert all(isinstance(x, Fraction) for r in work for x in r)
+        ref, ref_pivots = _sympy_matrix(case).rref()
+        assert pivots == list(ref_pivots)
+        assert _sympy_matrix(work) == ref
+
+
+def test_rref_rows_over_q_i_keeps_the_field_path():
+    i = _QI.theta()
+    half = _QI.element([Fraction(1, 2)])
+    rows = [[half, i * half, _QI.one(), _QI.zero()],
+            [i, -_QI.one(), _QI.element([Fraction(1, 3), Fraction(2, 7)]), half]]
+    rows.append([a + i * half * b for a, b in zip(*rows)])  # rank 2: a zero row
+    work, pivots, integer_path = _rref_case(rows)
+    assert not integer_path
+
+    def gaussian(rows):
+        return sympy.Matrix([[_q(x.coeffs[0]) + _q(x.coeffs[1]) * sympy.I for x in r]
+                             for r in rows])
+
+    ref, ref_pivots = gaussian(rows).rref(simplify=True)
+    assert pivots == list(ref_pivots)
+    assert (gaussian(work) - ref).expand() == sympy.zeros(*ref.shape)
 
 
 def test_distinct_eigenvalues_imply_full_krylov_rank():
