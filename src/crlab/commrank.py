@@ -19,9 +19,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Mat, _bareiss, _int_commutator
+from .linalg import Mat, _bareiss, _combine, _commutator_rows, _fractions
 
 __all__ = [
     "CommutatorProfile",
@@ -97,14 +96,15 @@ def _sample(v, trials, seed, entry_bound, stop_above):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = v.n
+    size = n * n
     scale, rows = v.integer_basis()
     rng = random.Random(seed)
     records = [(-1, None, None)]
     for _ in range(trials):
         ca = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         cb = [rng.randint(-entry_bound, entry_bound) for _ in rows]
-        a, b = _combine(rows, ca, n), _combine(rows, cb, n)
-        r = _bareiss(_int_commutator(a, b, n))[0]
+        a, b = _combine(rows, ca, size), _combine(rows, cb, size)
+        r = _bareiss(_commutator_rows(a, b, n))[0]
         if r > records[-1][0]:
             records.append((r, a, b))
             if r > stop_above:
@@ -113,17 +113,7 @@ def _sample(v, trials, seed, entry_bound, stop_above):
 
 
 def _witness(v, scale, record):
-    return tuple(Mat(v.n, v.n, [Fraction(x, scale) for x in m]) for m in record[1:])
-
-
-def _combine(rows, coeffs, n):
-    acc = [0] * (n * n)
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i, x in enumerate(row):
-                if x:
-                    acc[i] += c * x
-    return acc
+    return tuple(Mat(v.n, v.n, _fractions(m, scale)) for m in record[1:])
 
 
 def max_commutator_rank(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):

@@ -83,7 +83,7 @@ def subspace_from_dict(d):
     if missing:
         raise SchemaError(f"missing keys: {sorted(missing)}")
     n = d["ambient"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:  # JSON true is an int
         raise SchemaError("ambient must be a positive integer")
     if d["field"] != "Q":
         raise SchemaError("field must be 'Q'")

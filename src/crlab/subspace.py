@@ -9,9 +9,7 @@ and the square-only predicates guard themselves.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import Mat, VectorSpan, _clear_denominators
+from .linalg import Mat, VectorSpan, _clear_denominators, _combine, _fractions
 
 __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
@@ -127,43 +125,31 @@ class MatrixSubspace:
 
         Over the integer rows B_p = L b_p, a product P = B_i B_j lies in the
         space iff L P == sum_p P[pivot_p] B_p, because every canonical basis
-        element is 1 at its own pivot and 0 at the others.
+        element is 1 at its own pivot and 0 at the others.  Row i of P is
+        the combination of the rows of B_j by row i of B_i; both steps skip
+        the zeros of the sparse echelon rows.
         """
         if not self.is_square:
             raise ValueError("square spaces only")
         n = self.n
         scale, rows = self.integer_basis()
         pivots = self._span.pivots
-        for a in rows:
-            for b in rows:
-                prod = []
-                for i in range(0, n * n, n):
-                    row = [0] * n
-                    for t, x in enumerate(a[i:i + n]):
-                        if x:
-                            row = [r + x * y for r, y in zip(row, b[t * n:t * n + n])]
-                    prod += row
-                resid = [scale * x for x in prod]
-                for r, p in zip(rows, pivots):
-                    f = prod[p]
-                    if f:
-                        resid = [x - f * y for x, y in zip(resid, r)]
-                if any(resid):
+        for b in rows:
+            b_rows = [b[i:i + n] for i in range(0, n * n, n)]
+            for a in rows:
+                prod = [x for i in range(0, n * n, n) for x in _combine(b_rows, a[i:i + n], n)]
+                if any(_combine((prod, *rows), (scale, *(-prod[p] for p in pivots)), n * n)):
                     return False
         return True
 
     # -- sampling ---------------------------------------------------------------
 
     def random_element(self, rng, entry_bound):
-        """Integer-coefficient combination of the basis drawn from rng."""
-        acc = [Fraction(0)] * (self.rows * self.cols)
-        for b in self.basis:
-            c = rng.randint(-entry_bound, entry_bound)
-            if c:
-                for i, x in enumerate(b.data):
-                    if x:
-                        acc[i] += x * c
-        return Mat(self.rows, self.cols, acc)
+        """Integer combination of the basis, one draw from rng per basis element."""
+        scale, rows = self.integer_basis()
+        coeffs = [rng.randint(-entry_bound, entry_bound) for _ in rows]
+        size = self.rows * self.cols
+        return Mat(self.rows, self.cols, _fractions(_combine(rows, coeffs, size), scale))
 
     # -- comparison ---------------------------------------------------------------
 

@@ -31,6 +31,8 @@ old primitive element.  The degree of the field over Q is capped at
 ``MAX_FIELD_DEGREE``, 24, the largest degree of the splitting field of a
 quartic.  Every family whose eigenvalues need no larger field is
 triangularized; past the cap the recursion raises ExtensionLimitError.
+A result carries P and its field; :func:`verify_triangular` is the one
+check that every P^{-1} A P is upper triangular.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class RankOneFamily:
 class TriangularizationResult:
     P: Mat
     chain_dims: tuple
-    certificate: tuple  # strictly-lower parts of P^{-1} A P, one per basis A
     field: NumberField | None  # None while the change of basis is rational
 
 
@@ -257,14 +258,10 @@ def _triangularize_family(mats, n, field, rng):
 
 
 def _triangularize(v):
-    """The shared recursion on the basis of v, packaged with its certificate."""
+    """The shared recursion on the basis of v, packaged with the field of P."""
     p, field = _triangularize_family(list(v.basis), v.n, None,
                                      random.Random(_COMBO_SEED))
-    p_inv = p.inverse()
-    lowers = tuple((p_inv @ _lift(a, field) @ p).strictly_lower_part()
-                   for a in v.basis)
-    return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)),
-                                   certificate=lowers, field=field)
+    return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)), field=field)
 
 
 def triangularize_commuting(v):
@@ -286,8 +283,8 @@ def triangularize_rank_one(v):
 
 
 def verify_triangular(v, p):
-    """Is P^{-1} A P exactly upper triangular for every basis element?  Over
-    a number field the rational entries of A enter the products as field
-    elements."""
+    """Is P^{-1} A P exactly upper triangular for every basis element?  The
+    one check of a triangularization's P; over a number field the rational
+    entries of A enter the products as field elements."""
     p_inv = p.inverse()  # raises SingularMatrixError when singular
     return all((p_inv @ a @ p).is_upper_triangular() for a in v.basis)

@@ -126,7 +126,8 @@ def structure_check(v, trials, seed):
         bound = dimension_bound(n, k) if k < n else None
         return StructureVerdict("NOT_EQUALITY_CASE", k_hat=k,
                                 detail=f"dim {d} vs bound {bound} at sampled rank {k}")
-    for w, transposed in ((v, False), (v.transpose_space(), True)):
+    for transposed in (False, True):
+        w = v.transpose_space() if transposed else v  # built only when v fails
         hit = _match_block_form(w, k, seed)
         if hit is None:
             continue

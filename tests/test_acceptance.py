@@ -164,7 +164,6 @@ def test_criterion_6_triangularization_corpus():
             sub = span([w.random_element(rng, 5) for _ in range(d)])
             res = triangularize_rank_one(sub)
             assert verify_triangular(sub, res.P)
-            assert all(c.is_zero() for c in res.certificate)
             cases += 1
             if cases >= 50:
                 break

@@ -180,6 +180,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert run_cli("analyze", str(bad)) == 2
 
 
+def test_boolean_ambient_is_invalid_input(tmp_path, capsys):
+    # JSON true is an int in Python; it must not pass as ambient 1
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"ambient": True, "field": "Q", "basis": [[["1"]]]}))
+    assert run_cli("analyze", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "INVALID_INPUT"
+
+
 def test_report_reproducibility(tmp_path):
     out = tmp_path / "v.json"
     run_cli("construct", "--family", "vk", "--n", "4", "--k", "1", "--l", "1",

@@ -191,6 +191,50 @@ def test_commutator_agrees_with_sympy(pair):
     assert _as_sympy(commutator(*map(Mat.from_rows, pair))) == a * b - b * a
 
 
+_CBRT2 = NumberField([-2, 0, 0, 1])
+
+
+def _over_cbrt2(rows, cols):
+    """rows-by-cols lists of elements of Q(cbrt 2); one entry in three is zero."""
+    coeffs = st.lists(_ENTRY, min_size=1, max_size=3)
+    entry = st.one_of(st.just(()), coeffs, coeffs).map(_CBRT2.element)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _domain_matrix(rows):
+    """sympy's DomainMatrix over QQ<cbrt 2>; rational entries are embedded."""
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[_CBRT2.to_domain(_CBRT2.embed(x)) for x in r] for r in rows],
+                        (len(rows), len(rows[0])), _CBRT2.domain)
+
+
+def _domain_rows(m):
+    """The rows of a matrix over Q(cbrt 2) as sympy domain elements; every
+    entry must be a field element (a kernel sum started from the int 0 too)."""
+    assert all(x.mod == _CBRT2.one().mod for x in m.data)
+    return [[_CBRT2.to_domain(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 5)] * 3).flatmap(lambda s: st.tuples(
+    _over_cbrt2(s[0], s[1]), _over_cbrt2(s[1], s[2]), _matrices(s[0], s[1]))))
+def test_product_over_a_number_field_agrees_with_sympy(case):
+    a, b, q = case
+    # a rational left factor, as in P^{-1} A, enters the field products as is
+    for left in (a, q):
+        ours = Mat.from_rows(left) @ Mat.from_rows(b)
+        assert _domain_rows(ours) == (_domain_matrix(left) * _domain_matrix(b)).to_list()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(_over_cbrt2(n, n), _over_cbrt2(n, n))))
+def test_commutator_over_a_number_field_agrees_with_sympy(pair):
+    a, b = map(_domain_matrix, pair)
+    ours = commutator(*map(Mat.from_rows, pair))
+    assert _domain_rows(ours) == (a * b - b * a).to_list()
+
+
 def _rref_case(rows):
     """rref_rows on a copy, recording whether the integer path ran."""
     work = [list(r) for r in rows]

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from crlab.linalg import Mat, SingularMatrixError, random_matrix
 from crlab.subspace import full_space, span, zero_space
-from crlab.constructions import extremal_space, schur_space, valid_splits
+from crlab.constructions import extremal_space, flanders_space, schur_space, valid_splits
 
 
 def E(n, i, j):
@@ -55,6 +56,30 @@ def test_conjugation_preserves_dim_and_membership():
         assert w.dim == v.dim
         m = v.random_element(rng, 9)
         assert w.contains(q @ m @ q.inverse())
+
+
+def _reference_random_element(v, rng, entry_bound):
+    """A Fraction loop over the canonical basis: one draw per basis element."""
+    acc = [Fraction(0)] * (v.rows * v.cols)
+    for b in v.basis:
+        c = rng.randint(-entry_bound, entry_bound)
+        for i, x in enumerate(b.data):
+            acc[i] += x * c
+    return Mat(v.rows, v.cols, acc)
+
+
+def test_random_element_matches_a_fraction_loop_draw_for_draw():
+    q = Mat.from_rows([[2, 1, 0, 0], [1, 1, 3, 0], [0, 0, 5, 1], [1, 0, 0, 7]])
+    spaces = [extremal_space(4, 1, 1).conjugate(q),  # denominators in the basis
+              flanders_space(2, 3, 1), flanders_space(4, 2, 2), zero_space(2, 3),
+              span([Mat.from_rows([[Fraction(1, 2), 3, 0], [0, Fraction(2, 5), 1]]),
+                    Mat.from_rows([[1, Fraction(1, 3), 0], [Fraction(1, 7), 0, 2]])])]
+    for v in spaces:
+        for seed in range(4):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for bound in (1, 9, 10 ** 6):
+                assert v.random_element(ours, bound) == _reference_random_element(v, ref, bound)
+            assert ours.random() == ref.random()  # the generators stay in step
 
 
 def test_transpose_space():
