@@ -1,5 +1,12 @@
 """Constructors for the extremal and witness spaces used across the toolkit.
 
+Every equality-case space has one shape: a free k-by-n top band plus
+block_diag(0_k, C), where C is a maximal commutative space of M_{n-k},
+either the Schur-type space with split l (:func:`extremal_space`) or one
+of the small exceptional ones (:func:`exceptional_extremal_space`).  Schur's
+space is the k = 0 instance, the rank-one maximal spaces are the k = 1
+instances, and the last-row space is the k = n - 1 instance.
+
 All spaces come out as canonical MatrixSubspace values over Q.  Index
 conventions are zero-based internally; docstrings describe shapes in the
 usual one-based matrix language.
@@ -30,15 +37,18 @@ __all__ = [
 ]
 
 
+def _top_band(n, k, inner):
+    """The one equality-case shape: the free k-by-n top band plus
+    block_diag(0_k, b) for every (n-k)-by-(n-k) matrix b in ``inner``."""
+    mats = [Mat.unit(n, i, j) for i in range(k) for j in range(n)]
+    mats += [block_diag(Mat.zero(k), b) for b in inner]
+    return MatrixSubspace.span(mats, n, n)
+
+
 def schur_space(n):
     """Maximal commutative space: scalars plus the full r-by-(n-r) northeast
     block, r = floor(n/2).  Dimension floor(n^2/4) + 1; all commutators zero."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = n // 2
-    mats = [Mat.identity(n)]
-    mats += [Mat.unit(n, i, j) for i in range(r) for j in range(r, n)]
-    return MatrixSubspace.span(mats, n, n)
+    return extremal_space(n, 0, n // 2)
 
 
 def valid_splits(n, k):
@@ -48,6 +58,12 @@ def valid_splits(n, k):
     return sorted({(n - k) // 2, (n - k + 1) // 2})
 
 
+def _split(n, k, l):
+    """l itself, or the one valid split of n - k when l is None."""
+    splits = valid_splits(n, k)
+    return splits[0] if l is None and len(splits) == 1 else l
+
+
 def extremal_space(n, k, l):
     """The conjectured extremal space for commutator rank <= k.
 
@@ -55,23 +71,19 @@ def extremal_space(n, k, l):
     the trailing (n-k) block with a free l-by-(n-k-l) strip northeast of it.
     Dimension nk + floor((n-k)^2/4) + 1.
     """
-    if not 0 <= k < n:
-        raise ValueError("need 0 <= k < n")
-    if l not in valid_splits(n, k):
-        raise ValueError(f"split l={l} invalid for n={n}, k={k}")
-    mats = [Mat.identity(n)]
-    mats += [Mat.unit(n, i, j) for i in range(k) for j in range(n)]
-    mats += [Mat.unit(n, i, j) for i in range(k, k + l) for j in range(k + l, n)]
-    return MatrixSubspace.span(mats, n, n)
+    splits = valid_splits(n, k)
+    if l not in splits:
+        raise ValueError(f"split l={l} invalid for n={n}, k={k}; pass l in {splits}")
+    m = n - k
+    inner = [Mat.identity(m)] + [Mat.unit(m, i, j) for i in range(l) for j in range(l, m)]
+    return _top_band(n, k, inner)
 
 
 def lastrow_zero_space(n):
     """All matrices whose first n-1 entries of the last row vanish."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    mats = [Mat.unit(n, i, j) for i in range(n - 1) for j in range(n)]
-    mats.append(Mat.unit(n, n - 1, n - 1))
-    return MatrixSubspace.span(mats, n, n)
+    return extremal_space(n, n - 1, 0)
 
 
 def firstcol_zero_space(n):
@@ -96,31 +108,24 @@ def commutative_exceptional_space(m, tag):
     with a 1x1 block; the unital algebra of a rank-two nilpotent.
     m = 2: the diagonals.  m = 1: the scalars.  Each has dimension m.
     """
-    if m == 1 and tag == "scalar":
-        return MatrixSubspace.span([Mat.identity(1)], 1, 1)
-    if m == 2 and tag == "diag":
-        return MatrixSubspace.span([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)], 2, 2)
-    if m == 3 and tag == "diag":
-        return MatrixSubspace.span([Mat.unit(3, i, i) for i in range(3)], 3, 3)
-    if m == 3 and tag == "nil1_plus_scalar":
+    if tag not in _EXCEPTIONAL_TAGS_BY_SIZE.get(m, ()):
+        raise ValueError(f"no exceptional commutative space of size {m} tagged {tag!r}")
+    if tag in ("diag", "scalar"):
+        return MatrixSubspace.span([Mat.unit(m, i, i) for i in range(m)], m, m)
+    if tag == "nil1_plus_scalar":
         block = Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        nil = Mat.unit(3, 0, 1)
-        tail = Mat.unit(3, 2, 2)
-        return MatrixSubspace.span([block, nil, tail], 3, 3)
-    if m == 3 and tag == "nil2":
-        shift = Mat.unit(3, 0, 1) + Mat.unit(3, 1, 2)
-        return MatrixSubspace.span([Mat.identity(3), shift, shift @ shift], 3, 3)
-    raise ValueError(f"no exceptional commutative space of size {m} tagged {tag!r}")
+        return MatrixSubspace.span([block, Mat.unit(3, 0, 1), Mat.unit(3, 2, 2)], 3, 3)
+    shift = Mat.unit(3, 0, 1) + Mat.unit(3, 1, 2)  # nil2
+    return MatrixSubspace.span([Mat.identity(3), shift, shift @ shift], 3, 3)
 
 
-# which variant tags apply at which n; "generic" needs a split parameter
+# the size n at which each exceptional rank-one variant applies, and its tag
 _RANK1_VARIANTS = {
-    "generic": None,          # any n >= 2, l in valid_splits(n-1, 0)
-    "diag3": (4, "diag", 3),
-    "nilrank1_plus_C": (4, "nil1_plus_scalar", 3),
-    "nilrank2": (4, "nil2", 3),
-    "diag2": (3, "diag", 2),
-    "scalar": (2, "scalar", 1),
+    "diag3": (4, "diag"),
+    "nilrank1_plus_C": (4, "nil1_plus_scalar"),
+    "nilrank2": (4, "nil2"),
+    "diag2": (3, "diag"),
+    "scalar": (2, "scalar"),
 }
 
 
@@ -129,41 +134,25 @@ def rank_one_max_space(n, variant, l=None):
 
     Free first row and free (1,1) entry, zero first column below, and a
     maximal commutative space in the trailing (n-1) block: Schur type for the
-    generic variant (split l), or one of the small-n exceptional commutative
-    spaces.  Dimension floor((n-1)^2/4) + n + 1 in every variant.
+    generic variant (split l, which may be omitted when only one applies),
+    or one of the small-n exceptional commutative spaces.  These are the
+    k = 1 equality-case spaces, dimension floor((n-1)^2/4) + n + 1.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if variant == "generic":
-        splits = valid_splits(n - 1, 0)
-        if l is None and len(splits) == 1:
-            l = splits[0]
-        if l not in splits:
-            raise ValueError(f"split l={l} invalid for the generic variant at n={n}")
-        inner = extremal_space(n - 1, 0, l).basis
-    else:
-        try:
-            need_n, tag, m = _RANK1_VARIANTS[variant]
-        except KeyError:
-            raise ValueError(f"unknown variant {variant!r}") from None
-        if n != need_n:
-            raise ValueError(f"variant {variant!r} requires n = {need_n}")
-        inner = commutative_exceptional_space(m, tag).basis
-    mats = [Mat.unit(n, 0, j) for j in range(n)]
-    mats += [block_diag(Mat.zero(1), b) for b in inner]
-    return MatrixSubspace.span(mats, n, n)
+        return extremal_space(n, 1, _split(n, 1, l))
+    if variant not in _RANK1_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    need_n, tag = _RANK1_VARIANTS[variant]
+    if n != need_n:
+        raise ValueError(f"variant {variant!r} requires n = {need_n}")
+    return exceptional_extremal_space(n, 1, tag)
 
 
 def exceptional_extremal_space(n, k, tag):
     """Equality-case space with an exceptional commutative trailing block:
     free k-by-n top band plus an exceptional commutative space in the
     trailing (n-k) block.  Applies when n - k <= 3."""
-    m = n - k
-    if tag not in _EXCEPTIONAL_TAGS_BY_SIZE.get(m, ()):
-        raise ValueError(f"tag {tag!r} does not apply at n-k = {m}")
-    mats = [Mat.unit(n, i, j) for i in range(k) for j in range(n)]
-    mats += [block_diag(Mat.zero(k), b) for b in commutative_exceptional_space(m, tag).basis]
-    return MatrixSubspace.span(mats, n, n)
+    return _top_band(n, k, commutative_exceptional_space(n - k, tag).basis)
 
 
 def flanders_space(m, n_cols, k):
@@ -236,13 +225,7 @@ def build_family(spec: FamilySpec):
     if fam in ("vk", "vk-t"):
         if spec.k is None:
             raise ValueError("family vk needs k")
-        l = spec.l
-        if l is None:
-            splits = valid_splits(spec.n, spec.k)
-            if len(splits) != 1:
-                raise ValueError(f"ambiguous split; pass l in {splits}")
-            l = splits[0]
-        v = extremal_space(spec.n, spec.k, l)
+        v = extremal_space(spec.n, spec.k, _split(spec.n, spec.k, spec.l))
         return v.transpose_space() if fam == "vk-t" else v
     if fam == "thm2-lastrow":
         return lastrow_zero_space(spec.n)

@@ -53,7 +53,6 @@ __all__ = [
     "search_max_dimension",
     "split_bound",
     "has_bidiagonal_staircase",
-    "diagonal_space",
 ]
 
 DEFAULT_SEARCH_GUARD = 7
@@ -111,7 +110,8 @@ class InvariantSpaceSpec:
     def integer_basis(self):
         """``realize().integer_basis()`` without realizing: a unit (i, j) is
         ``scale`` at flat i*n + j, and the diagonal RREF rows, cleared by their
-        lcm ``scale``, lie on the flats x*(n + 1); rows go by pivot."""
+        lcm ``scale``, lie on the flats x*(n + 1); rows go by pivot, as
+        tuples."""
         n, span = self.n, self._diag_span
         scale, diag = _clear_denominators(span.rows)
         rows = []
@@ -124,7 +124,7 @@ class InvariantSpaceSpec:
         # every row is zero before its pivot entry, which is positive, so the
         # descending lexicographic order is the ascending pivot order
         rows.sort(reverse=True)
-        return scale, rows
+        return scale, tuple(map(tuple, rows))
 
     def sort_key(self):
         return (sorted(self.units), self.diag_blocks, sorted(self.forced_diffs))
@@ -205,24 +205,17 @@ def triangular_closure(spec):
 
 # -- invariance predicate --------------------------------------------------------
 
-def diagonal_space(n):
-    return MatrixSubspace.span([Mat.unit(n, i, i) for i in range(n)], n, n)
-
-
 def is_triangular_invariant(v):
     """Exact test of invariance under all invertible upper-triangular
     conjugations, via the finite generator conditions: closure under
     commutation with every elementary E_ij (i < j), closure under the
-    quadratic term E_ij A E_ij, and diagonal grading."""
+    quadratic term E_ij A E_ij, and diagonal grading.  V is graded (fixed
+    by the diagonal torus) iff every off-diagonal position in the support
+    of a member spans a unit line of V."""
     n = v.n
-    # grading: V must split into its unit lines plus its diagonal part
-    unit_count = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j and v.contains(Mat.unit(n, i, j)):
-                unit_count += 1
-    diag_part = v.intersect(diagonal_space(n))
-    if unit_count + diag_part.dim != v.dim:
+    support = {(i, j) for a in v.basis for i in range(n) for j in range(n)
+               if i != j and a[i, j]}
+    if not all(v.contains(Mat.unit(n, i, j)) for i, j in support):
         return False
     for i in range(n):
         for j in range(i + 1, n):

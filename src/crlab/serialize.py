@@ -104,8 +104,9 @@ def dumps_canonical(obj):
 
 
 def write_subspace(path, v):
+    text = dumps_canonical(subspace_to_dict(v))  # validate before truncating the file
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(subspace_to_dict(v)))
+        fh.write(text)
 
 
 def read_subspace(path):

@@ -9,13 +9,14 @@ and the square-only predicates guard themselves.
 
 from __future__ import annotations
 
-from .linalg import Mat, VectorSpan, _clear_denominators, _combine, _fractions
+from .linalg import (Mat, VectorSpan, _clear_denominators, _combine, _fractions,
+                     mat_from_columns)
 
 __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
 
 class MatrixSubspace:
-    __slots__ = ("rows", "cols", "basis", "_span")
+    __slots__ = ("rows", "cols", "basis", "_span", "_integer_basis")
 
     def __init__(self, rows, cols, vspan, _canonical=False):
         if not _canonical:
@@ -60,8 +61,12 @@ class MatrixSubspace:
 
     def integer_basis(self):
         """(L, rows): L is the lcm of the basis denominators and rows[p] is
-        L times the p-th canonical basis element as a flat list of ints."""
-        return _clear_denominators([b.data for b in self.basis])
+        L times the p-th canonical basis element as a flat tuple of ints.
+        Computed on first use and kept, since the space never changes."""
+        if not hasattr(self, "_integer_basis"):
+            scale, rows = _clear_denominators([b.data for b in self.basis])
+            object.__setattr__(self, "_integer_basis", (scale, tuple(map(tuple, rows))))
+        return self._integer_basis
 
     def contains(self, m):
         if m.rows != self.rows or m.cols != self.cols:
@@ -93,21 +98,13 @@ class MatrixSubspace:
         if not self.basis or not other.basis:
             return zero_space(self.rows, self.cols)
         # kernel of [B_V^T | -B_W^T]: coefficient pairs with equal combinations
-        dv, dw = self.dim, other.dim
-        amb = self.rows * self.cols
-        rows = []
-        for r in range(amb):
-            rows.append([self.basis[i].data[r] for i in range(dv)]
-                        + [-other.basis[j].data[r] for j in range(dw)])
-        ker = Mat(amb, dv + dw, [x for row in rows for x in row]).kernel_basis()
-        mats = []
-        for v in ker:
-            coeffs = v.data[:dv]
-            acc = Mat.zero(self.rows, self.cols)
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    acc = acc + b * c
-            mats.append(acc)
+        ker = mat_from_columns([b.data for b in self.basis]
+                               + [(-b).data for b in other.basis]).kernel_basis()
+        # each member scaled to integers, which leaves their span as it is
+        _, rows = self.integer_basis()
+        _, coeffs = _clear_denominators([k.data[:self.dim] for k in ker])
+        size = self.rows * self.cols
+        mats = [Mat(self.rows, self.cols, _fractions(_combine(rows, c, size), 1)) for c in coeffs]
         return MatrixSubspace.span(mats, self.rows, self.cols)
 
     def with_identity(self):

@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 
 from .linalg import (Mat, VectorSpan, block_diag, commutator, complete_basis,
                      mat_from_columns)
@@ -126,6 +126,15 @@ def _parallel_columns(c, u0):
     return all(span.contains(c.col(j)) for j in range(c.cols))
 
 
+def _nonzero_commutators(basis):
+    """((A, B), [A, B]) for every basis pair with a nonzero commutator, in
+    combinations order, computed as they are needed."""
+    for a, b in combinations(basis, 2):
+        c = commutator(a, b)
+        if not c.is_zero():
+            yield (a, b), c
+
+
 def classify_rank_one_family(v):
     """Shared commutator direction of a space, checked on basis pairs.
 
@@ -133,18 +142,11 @@ def classify_rank_one_family(v):
     or when no shared direction exists (by bilinearity either failure means
     the rank-one hypothesis is false for the whole space).
     """
-    basis = v.basis
     nonzero = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            c = commutator(basis[i], basis[j])
-            if c.is_zero():
-                continue
-            if c.rank() > 1:
-                raise InconsistentFamilyError(
-                    "basis pair commutator has rank >= 2",
-                    (basis[i], basis[j]), c)
-            nonzero.append(((basis[i], basis[j]), c))
+    for pair, c in _nonzero_commutators(v.basis):
+        if c.rank() > 1:
+            raise InconsistentFamilyError("basis pair commutator has rank >= 2", pair, c)
+        nonzero.append((pair, c))
     if not nonzero:
         return RankOneFamily("ZERO", None)
     u0, v0 = _factor_rank_one(nonzero[0][1])
@@ -267,12 +269,9 @@ def _triangularize(v):
 def triangularize_commuting(v):
     """Flag construction for a commuting family (every basis pair must have
     an exactly zero commutator)."""
-    basis = v.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            c = commutator(basis[i], basis[j])
-            if not c.is_zero():
-                raise NonCommutingError((basis[i], basis[j]), c)
+    first = next(_nonzero_commutators(v.basis), None)
+    if first is not None:
+        raise NonCommutingError(*first)
     return _triangularize(v)
 
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .commrank import dimension_bound, max_commutator_rank
+from .commrank import check_dimension_bound
 from .constructions import (commutative_exceptional_space, exceptional_extremal_space,
                             extremal_space, valid_splits)
 from .linalg import (Mat, VectorSpan, block_diag, charpoly_discriminant, commutator,
@@ -55,6 +55,11 @@ class StructureVerdict:
     witness_basis: Mat | None = None
     transposed: bool = False
     detail: str = ""
+
+    @property
+    def matched(self):
+        """Was a similarity onto an equality-case construction recovered?"""
+        return self.status in ("MATCHES_VK", "MATCHES_VK_TRANSPOSE", "EXCEPTIONAL")
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,15 @@ def flanders_check(v, trials, seed, entry_bound=1000):
 def structure_check(v, trials, seed):
     """Try to recognize an equality-case space as the canonical block
     construction (or its transpose, or a small-n exceptional variant)."""
-    n = v.n
-    d = v.dim
-    profile = max_commutator_rank(v, trials, seed)
-    k = profile.probable_max
-    if k >= n or d != dimension_bound(n, k):
-        bound = dimension_bound(n, k) if k < n else None
+    return _recognize(v, check_dimension_bound(v, trials, seed), seed)
+
+
+def _recognize(v, report, seed):
+    """The structure verdict of v, given its dimension-bound report."""
+    k = report.k_hat
+    if report.slack != 0:  # None when no k < n applies
         return StructureVerdict("NOT_EQUALITY_CASE", k_hat=k,
-                                detail=f"dim {d} vs bound {bound} at sampled rank {k}")
+                                detail=f"dim {v.dim} vs bound {report.bound} at sampled rank {k}")
     for transposed in (False, True):
         w = v.transpose_space() if transposed else v  # built only when v fails
         hit = _match_block_form(w, k, seed)
@@ -163,14 +169,12 @@ def _match_block_form(w, k, seed):
     nils = [q - Mat.identity(m) * (q.trace() / m) for q in quotient]
     strip = VectorSpan(m, [nil.col(j) for nil in nils for j in range(m)])
     l = strip.dim
-    if l in valid_splits(n, k) or (m == 1 and l == 0):
+    if l in valid_splits(n, k):
         mid_cols = [Mat.column(r) for r in strip.rows]
         p2 = mat_from_columns(complete_basis(mid_cols, m))
         witness = (p1 @ block_diag(Mat.identity(k), p2)).inverse()
-        target_l = l if l in valid_splits(n, k) else valid_splits(n, k)[0]
-        target = extremal_space(n, k, target_l)
-        if w.conjugate(witness) == target:
-            return "generic", witness, target_l, (k, k + l)
+        if w.conjugate(witness) == extremal_space(n, k, l):
+            return "generic", witness, l, (k, k + l)
     if m in (2, 3):
         hit = _match_exceptional(MatrixSubspace.span(quotient, m, m), seed)
         if hit is not None:
@@ -283,17 +287,13 @@ def algebra_structure_report(v, trials, seed):
     """Combined verdict: closure under products, dimension at the sampled
     rank level, and the recovered block structure."""
     alg = v.is_algebra()
+    report = check_dimension_bound(v, trials, seed)
+    structure = _recognize(v, report, seed) if alg else None
+    ok = alg and structure.matched
     if not alg:
-        profile = max_commutator_rank(v, trials, seed)
-        k = profile.probable_max
-        bound = dimension_bound(v.n, k) if k < v.n else None
-        return AlgebraReport(False, False, v.dim, k, bound, None,
-                             "not an algebra; the block-structure classification covers algebras only")
-    structure = structure_check(v, trials, seed)
-    k = structure.k_hat
-    bound = dimension_bound(v.n, k) if k < v.n else None
-    ok = (bound == v.dim and structure.status in
-          ("MATCHES_VK", "MATCHES_VK_TRANSPOSE", "EXCEPTIONAL"))
-    note = "algebra at the extremal dimension with recovered block structure" if ok \
-        else "algebra but structure recovery did not confirm the extremal form"
-    return AlgebraReport(ok, True, v.dim, k, bound, structure, note)
+        note = "not an algebra; the block-structure classification covers algebras only"
+    elif ok:
+        note = "algebra at the extremal dimension with recovered block structure"
+    else:
+        note = "algebra but structure recovery did not confirm the extremal form"
+    return AlgebraReport(ok, alg, v.dim, report.k_hat, report.bound, structure, note)

@@ -34,6 +34,15 @@ def test_subspace_file_write_is_canonical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_rejected_write_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "v.json"
+    write_subspace(path, extremal_space(4, 1, 1))
+    before = path.read_bytes()
+    with pytest.raises(SchemaError):
+        write_subspace(path, flanders_space(2, 3, 1))
+    assert path.read_bytes() == before
+
+
 def test_entry_format():
     v = span([Mat.from_rows([[1, 2], [0, 4]]) * __import__("fractions").Fraction(1, 3)])
     d = subspace_to_dict(v)
@@ -167,6 +176,17 @@ def test_verify_structure_command(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["results"]["status"] == "MATCHES_VK"
+
+
+def test_verify_structure_on_band_instances(tmp_path, capsys):
+    cases = [(["--family", "rank1max", "--n", "4", "--variant", "diag3"], "EXCEPTIONAL"),
+             (["--family", "thm2-lastrow", "--n", "5"], "MATCHES_VK")]
+    for argv, status in cases:
+        out = tmp_path / "v.json"
+        assert run_cli("construct", *argv, "-o", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("verify-structure", str(out)) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["status"] == status
 
 
 def test_invalid_input_exit_code(tmp_path, capsys):

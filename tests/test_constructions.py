@@ -10,7 +10,7 @@ from crlab.constructions import (FamilySpec, bidiagonal_commutator_diagonal,
                                  firstcol_zero_space, flanders_space,
                                  lastrow_zero_space, rank_one_max_space,
                                  schur_space, valid_splits)
-from crlab.linalg import Mat, commutator
+from crlab.linalg import Mat, block_diag, commutator
 from crlab.subspace import span
 
 
@@ -59,6 +59,15 @@ def test_corner_spaces():
     assert firstcol_zero_space(4).is_algebra()
 
 
+def test_lastrow_space_is_the_full_band_instance():
+    # k = n - 1: the trailing 1x1 block admits both splits, and they agree
+    for n in range(2, 9):
+        spelled = span([Mat.unit(n, i, j) for i in range(n - 1) for j in range(n)]
+                       + [Mat.unit(n, n - 1, n - 1)])
+        assert lastrow_zero_space(n) == spelled
+        assert spelled == extremal_space(n, n - 1, 0) == extremal_space(n, n - 1, 1)
+
+
 def test_lastrow_space_shape():
     v = lastrow_zero_space(4)
     for b in v.basis:
@@ -76,6 +85,25 @@ def test_rank_one_max_dims_match_bound():
         v = rank_one_max_space(n, variant, l)
         assert v.dim == dimension_bound(n, 1)
         assert v.is_algebra()
+
+
+def test_rank_one_generic_is_the_k1_extremal_space():
+    for n in range(2, 9):
+        assert valid_splits(n - 1, 0) == valid_splits(n, 1)
+        for l in valid_splits(n, 1):
+            # free first row plus a Schur-type trailing block, spelled out
+            spelled = span([Mat.unit(n, 0, j) for j in range(n)]
+                           + [block_diag(Mat.zero(1), b)
+                              for b in extremal_space(n - 1, 0, l).basis])
+            assert rank_one_max_space(n, "generic", l) == spelled
+            assert spelled == extremal_space(n, 1, l)
+
+
+def test_rank_one_variants_are_exceptional_extremal_spaces():
+    for variant, n, tag in (("diag3", 4, "diag"), ("nilrank1_plus_C", 4, "nil1_plus_scalar"),
+                            ("nilrank2", 4, "nil2"), ("diag2", 3, "diag"),
+                            ("scalar", 2, "scalar")):
+        assert rank_one_max_space(n, variant) == exceptional_extremal_space(n, 1, tag)
 
 
 def test_rank_one_max_diag3_block():
@@ -109,6 +137,13 @@ def test_commutative_exceptional_spaces():
             for b in v.basis:
                 assert commutator(a, b).is_zero()
         assert v.is_algebra()
+    assert commutative_exceptional_space(1, "scalar") == span([Mat.identity(1)])
+    assert commutative_exceptional_space(3, "diag") == span([Mat.diagonal([1, 2, 3]),
+                                                             Mat.diagonal([1, 1, 0]),
+                                                             Mat.identity(3)])
+    for m, tag in ((2, "scalar"), (1, "diag"), (2, "nil2"), (4, "diag")):
+        with pytest.raises(ValueError):
+            commutative_exceptional_space(m, tag)
 
 
 def test_exceptional_extremal_space_dims():

@@ -12,7 +12,7 @@ from crlab.invariant_spaces import (InvariantSpaceSpec, _closure_masks,
                                     search_max_dimension, split_bound,
                                     triangular_closure)
 from crlab.linalg import Mat
-from crlab.subspace import full_space
+from crlab.subspace import full_space, span
 
 
 def _scalars_spec(n, units=()):
@@ -101,6 +101,10 @@ def test_is_triangular_invariant_examples():
     q = Mat.from_rows([[1, 1, 0, 2], [0, 1, 1, 0], [1, 0, 1, 0], [0, 2, 0, 1]])
     assert q.det() != 0
     assert not is_triangular_invariant(extremal_space(4, 1, 1).conjugate(q))
+    # closed under the unipotent generators, but not graded: E_{0,n-1} is
+    # in the support of a member without being a unit line of the space
+    for n in (2, 3, 4):
+        assert not is_triangular_invariant(span([Mat.identity(n) + Mat.unit(n, 0, n - 1)]))
 
 
 def test_realized_spaces_invariant_under_random_conjugations():

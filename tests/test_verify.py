@@ -95,7 +95,18 @@ def test_structure_vk_transpose_round_trip():
 
 def test_structure_not_equality_case():
     v = span(list(extremal_space(6, 2, 2).basis)[:5])
-    assert structure_check(v, 16, 3).status == "NOT_EQUALITY_CASE"
+    verdict = structure_check(v, 16, 3)
+    assert verdict.status == "NOT_EQUALITY_CASE" and not verdict.matched
+
+
+def test_structure_full_band_has_an_empty_strip():
+    # k = n - 1: the 1x1 quotient has no nilpotent part, so l = 0
+    for n in (2, 3, 4, 5):
+        v = extremal_space(n, n - 1, 1).conjugate(_invertible(n, 41 + n))
+        verdict = structure_check(v, 32, 7)
+        assert verdict.status == "MATCHES_VK" and verdict.matched, (n, verdict)
+        assert verdict.l == 0 and verdict.chain_dims == (n - 1, n - 1)
+        assert v.conjugate(verdict.witness_basis) == extremal_space(n, n - 1, 0)
 
 
 def test_structure_exceptional_variants():
