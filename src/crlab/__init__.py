@@ -7,7 +7,7 @@ from .commrank import (BoundReport, CommutatorProfile, RankVerdict,
                        certify_rank_condition_symbolic, check_dimension_bound,
                        dimension_bound, max_commutator_rank,
                        satisfies_rank_condition)
-from .constructions import (FamilySpec, bidiagonal_witness_pair, build_family,
+from .constructions import (bidiagonal_witness_pair, build_family,
                             commutative_exceptional_space,
                             exceptional_extremal_space, extremal_space,
                             firstcol_zero_space, flanders_space,

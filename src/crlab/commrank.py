@@ -2,11 +2,15 @@
 
 The maximum of rank[A, B] over V x V is attained on a Zariski-open set, so a
 few random integer-coefficient pairs hit it with overwhelming probability.
-Every sampled rank is exact: the basis is scaled once to integer rows, each
-commutator is formed over Python ints and ranked by fraction-free (Bareiss)
-elimination.  Refutations ("some pair exceeds k") therefore carry a witness
-whose rank is the exact rank over Q; confirmations are only probable and
-record (trials, seed).
+One private scan draws every pair, over integer rows with exact (Bareiss)
+ranks, and keeps only the best (rank, A, B) as a :class:`CommutatorProfile`.
+:meth:`CommutatorProfile.verdict` is the one rule that reads a verdict at k
+off it: CERTIFIED_NO with the profile's pair as witness, whose rank is exact
+over Q, or PROBABLE_YES recording (trials, seed).  The scan of
+:func:`satisfies_rank_condition` stops at the first pair above k, which is its
+witness.  A verdict read off a full profile has the same status (same draws),
+but its witness is the maximizing pair, which differs from the first pair
+above k when the running maximum passes k in more than one step.
 
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
 commutator of two generic elements are computed by sympy as polynomials in the
@@ -33,7 +37,8 @@ __all__ = [
     "certify_rank_condition_symbolic",
 ]
 
-DEFAULT_ENTRY_BOUND = 10 ** 6
+# coefficients are uniform in [-ENTRY_BOUND, ENTRY_BOUND]; read at every scan
+ENTRY_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,14 @@ class CommutatorProfile:
     def __post_init__(self):
         if self.certified_lower > self.probable_max:
             raise ValueError("certified lower bound above probable max")
+
+    def verdict(self, k):
+        """The rank condition at k read off this scan: CERTIFIED_NO with the
+        profile's pair as witness when probable_max > k, else PROBABLE_YES."""
+        if self.probable_max > k:
+            return RankVerdict("CERTIFIED_NO", k, self.trials, self.seed,
+                               witness=self.witness, witness_rank=self.probable_max)
+        return RankVerdict("PROBABLE_YES", k, self.trials, self.seed)
 
 
 @dataclass(frozen=True)
@@ -75,23 +88,15 @@ class BoundReport:
     note: str
 
 
-# The records of the last scan that ran to the top rank level, keyed by the
-# identity of its subspace: they answer the rank condition at every k < n, so
-# `analyze --k` samples once.  Replaced, never mutated.
-_last_full_scan = None
-
-
-def _sample(v, trials, seed, entry_bound, stop_above):
-    """The running-maximum records of rank[A, B] over sampled pairs.
+def _scan(v, trials, seed, stop_above):
+    """The best sampled pair of ``v`` as a :class:`CommutatorProfile`.
 
     ``v`` is anything with ``n`` and ``integer_basis()`` (a MatrixSubspace or
     an InvariantSpaceSpec).  Each trial draws the d coefficients of A, then
-    the d coefficients of B.  Returns (scale, records): each record is
-    (rank, A, B) for a pair whose exact rank beats every earlier one, in draw
-    order, with A and B flat integer matrices to be divided by ``scale``.
-    Sampling stops early once a rank exceeds ``stop_above``.  The basis is
-    scaled by the lcm of its denominators, which changes no commutator rank,
-    so the pairs are combined, commuted and ranked over Python ints.
+    the d coefficients of B; a pair is kept if its exact commutator rank beats
+    every earlier one, and sampling stops once a rank exceeds ``stop_above``.
+    The basis is scaled by the lcm of its denominators, which changes no
+    commutator rank, so pairs are combined, commuted and ranked over Python ints.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -99,57 +104,42 @@ def _sample(v, trials, seed, entry_bound, stop_above):
     size = n * n
     scale, rows = v.integer_basis()
     rng = random.Random(seed)
-    records = [(-1, None, None)]
+    bound = ENTRY_BOUND
+    best, a_best, b_best = -1, None, None
     for _ in range(trials):
-        ca = [rng.randint(-entry_bound, entry_bound) for _ in rows]
-        cb = [rng.randint(-entry_bound, entry_bound) for _ in rows]
+        ca = [rng.randint(-bound, bound) for _ in rows]
+        cb = [rng.randint(-bound, bound) for _ in rows]
         a, b = _combine(rows, ca, size), _combine(rows, cb, size)
         r = _bareiss(_commutator_rows(a, b, n))[0]
-        if r > records[-1][0]:
-            records.append((r, a, b))
+        if r > best:
+            best, a_best, b_best = r, a, b
             if r > stop_above:
                 break
-    return scale, records[1:]
+    witness = tuple(Mat(n, n, _fractions(m, scale)) for m in (a_best, b_best))
+    return CommutatorProfile(probable_max=best, certified_lower=best,
+                             witness=witness, trials=trials, seed=seed)
 
 
-def _witness(v, scale, record):
-    return tuple(Mat(v.n, v.n, _fractions(m, scale)) for m in record[1:])
-
-
-def max_commutator_rank(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
+def max_commutator_rank(v, trials, seed):
     """Sampled maximum of rank[A, B]; the maximizing pair is kept as witness.
 
     Exact ranks throughout, so certified_lower == probable_max and the stored
     pair reproduces it under recomputation.  Deterministic in (v, trials, seed).
     """
-    global _last_full_scan
-    scale, records = _sample(v, trials, seed, entry_bound, v.n - 1)
-    _last_full_scan = (v, trials, seed, entry_bound, scale, records)
-    best = records[-1]
-    return CommutatorProfile(probable_max=best[0], certified_lower=best[0],
-                             witness=_witness(v, scale, best), trials=trials, seed=seed)
+    return _scan(v, trials, seed, v.n - 1)
 
 
-def satisfies_rank_condition(v, k, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
+def satisfies_rank_condition(v, k, trials, seed):
     """Decide "rank[A,B] <= k for all pairs" by sampling.
 
     CERTIFIED_NO carries the first sampled pair whose exact commutator rank
-    exceeds k.  PROBABLE_YES records the trial budget.  A scan of the same
-    (v, trials, seed) by :func:`max_commutator_rank` drew the same pairs and
-    ran at least as far, so its records are reused instead of sampling again.
+    exceeds k.  PROBABLE_YES records the trial budget.  The status equals
+    ``max_commutator_rank(v, trials, seed).verdict(k).status``, since both
+    scans draw the same pairs.
     """
     if not 0 <= k < v.n:
         raise ValueError("need 0 <= k < n")
-    last = _last_full_scan
-    if last is not None and last[0] is v and last[1:4] == (trials, seed, entry_bound):
-        scale, records = last[4:]
-    else:
-        scale, records = _sample(v, trials, seed, entry_bound, k)
-    for record in records:
-        if record[0] > k:
-            return RankVerdict("CERTIFIED_NO", k, trials, seed,
-                               witness=_witness(v, scale, record), witness_rank=record[0])
-    return RankVerdict("PROBABLE_YES", k, trials, seed)
+    return _scan(v, trials, seed, k).verdict(k)
 
 
 def dimension_bound(n, k):
@@ -160,7 +150,7 @@ def dimension_bound(n, k):
     return n * k + ((n - k) ** 2) // 4 + 1
 
 
-def check_dimension_bound(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
+def check_dimension_bound(v, trials, seed):
     """Estimate k̂ and compare dim V against the bound at k̂.
 
     k̂ = n means a sampled pair has invertible commutator, so no k < n
@@ -171,7 +161,7 @@ def check_dimension_bound(v, trials, seed, entry_bound=DEFAULT_ENTRY_BOUND):
     """
     n = v.n
     d = v.dim
-    profile = max_commutator_rank(v, trials, seed, entry_bound)
+    profile = max_commutator_rank(v, trials, seed)
     k_hat = profile.probable_max
     if k_hat >= n:
         return BoundReport("NOT_APPLICABLE", n, d, k_hat, None, None, profile,

@@ -14,14 +14,12 @@ usual one-based matrix language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Mat, block_diag
 from .subspace import MatrixSubspace
 
 __all__ = [
-    "FamilySpec",
     "schur_space",
     "extremal_space",
     "valid_splits",
@@ -152,6 +150,8 @@ def exceptional_extremal_space(n, k, tag):
     """Equality-case space with an exceptional commutative trailing block:
     free k-by-n top band plus an exceptional commutative space in the
     trailing (n-k) block.  Applies when n - k <= 3."""
+    if not 0 <= k < n:
+        raise ValueError("need 0 <= k < n")
     return _top_band(n, k, commutative_exceptional_space(n - k, tag).basis)
 
 
@@ -209,33 +209,23 @@ def bidiagonal_commutator_diagonal(n, lambdas, mus):
 
 # -- family dispatch (CLI surface) --------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int
-    k: int | None = None
-    l: int | None = None
-    variant: str | None = None
-
-
-def build_family(spec: FamilySpec):
-    fam = spec.family
-    if fam == "schur":
-        return schur_space(spec.n)
-    if fam in ("vk", "vk-t"):
-        if spec.k is None:
+def build_family(family, n, k=None, l=None, variant=None):
+    """The space the CLI's ``construct --family`` names, from its arguments."""
+    if family == "schur":
+        return schur_space(n)
+    if family in ("vk", "vk-t"):
+        if k is None:
             raise ValueError("family vk needs k")
-        v = extremal_space(spec.n, spec.k, _split(spec.n, spec.k, spec.l))
-        return v.transpose_space() if fam == "vk-t" else v
-    if fam == "thm2-lastrow":
-        return lastrow_zero_space(spec.n)
-    if fam == "thm2-firstcol":
-        return firstcol_zero_space(spec.n)
-    if fam == "rank1max":
-        variant = spec.variant or "generic"
-        return rank_one_max_space(spec.n, variant, spec.l)
-    if fam == "flanders":
-        if spec.k is None:
+        v = extremal_space(n, k, _split(n, k, l))
+        return v.transpose_space() if family == "vk-t" else v
+    if family == "thm2-lastrow":
+        return lastrow_zero_space(n)
+    if family == "thm2-firstcol":
+        return firstcol_zero_space(n)
+    if family == "rank1max":
+        return rank_one_max_space(n, variant or "generic", l)
+    if family == "flanders":
+        if k is None:
             raise ValueError("family flanders needs k")
-        return flanders_space(spec.n, spec.n, spec.k)
-    raise ValueError(f"unknown family {fam!r}")
+        return flanders_space(n, n, k)
+    raise ValueError(f"unknown family {family!r}")

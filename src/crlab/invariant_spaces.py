@@ -326,15 +326,6 @@ class SearchReport:
     matches_bound: bool = False
 
 
-def _evaluate_spec(spec, k, trials, seed):
-    """One spec's outcome, sampled over its own integer rows: 'pruned',
-    'no' (certified) or 'yes' (probable)."""
-    if has_bidiagonal_staircase(spec, k):
-        return "pruned"
-    verdict = satisfies_rank_condition(spec, k, trials, seed)
-    return "no" if verdict.certified_no else "yes"
-
-
 def search_max_dimension(n, k, trials=32, seed=2024, max_n=DEFAULT_SEARCH_GUARD):
     """Maximum dimension over closed specs passing the rank condition at k.
 
@@ -355,11 +346,9 @@ def search_max_dimension(n, k, trials=32, seed=2024, max_n=DEFAULT_SEARCH_GUARD)
     for d, spec in specs:
         if d < best:
             counts["skipped_below_max"] += 1
-            continue
-        res = _evaluate_spec(spec, k, trials, seed)
-        if res == "pruned":
+        elif has_bidiagonal_staircase(spec, k):
             counts["pruned"] += 1
-        elif res == "no":
+        elif satisfies_rank_condition(spec, k, trials, seed).certified_no:
             counts["certified_no"] += 1
         else:
             counts["probable_yes"] += 1

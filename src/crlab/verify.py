@@ -44,6 +44,8 @@ __all__ = [
     "algebra_structure_report",
 ]
 
+_PROBE_BOUND = 1000  # coefficient bound of the random members probed
+
 
 @dataclass(frozen=True)
 class StructureVerdict:
@@ -84,7 +86,7 @@ class AlgebraReport:
     note: str
 
 
-def find_distinct_eigenvalue_element(v, trials, seed, entry_bound=1000):
+def find_distinct_eigenvalue_element(v, trials, seed):
     """A member with n distinct eigenvalues (nonzero characteristic-polynomial
     discriminant), or None.
 
@@ -97,13 +99,13 @@ def find_distinct_eigenvalue_element(v, trials, seed, entry_bound=1000):
             return b
     rng = random.Random(seed)
     for _ in range(trials):
-        m = v.random_element(rng, entry_bound)
+        m = v.random_element(rng, _PROBE_BOUND)
         if charpoly_discriminant(m):
             return m
     return None
 
 
-def flanders_check(v, trials, seed, entry_bound=1000):
+def flanders_check(v, trials, seed):
     """Estimate the maximal member rank k̂ of a (possibly rectangular) space
     and compare dim against the rank-bounded-space bound k̂ * max(rows, cols)."""
     rng = random.Random(seed)
@@ -111,7 +113,7 @@ def flanders_check(v, trials, seed, entry_bound=1000):
     for b in v.basis:
         k_hat = max(k_hat, b.rank())
     for _ in range(trials):
-        k_hat = max(k_hat, v.random_element(rng, entry_bound).rank())
+        k_hat = max(k_hat, v.random_element(rng, _PROBE_BOUND).rank())
     bound = k_hat * max(v.rows, v.cols)
     return FlandersReport(k_hat=k_hat, dim=v.dim, bound=bound,
                           passed=v.dim <= bound, slack=bound - v.dim,

@@ -129,8 +129,9 @@ def test_search_guard_env(tmp_path, monkeypatch, capsys):
 
 
 def test_analyze_rank_condition_equals_a_separate_sampling(tmp_path, capsys):
-    # analyze --k reads its verdict off the profile scan; it must be the
-    # verdict a separate satisfies_rank_condition call returns
+    # analyze --k reads its verdict off the profile scan.  Only the status is
+    # guaranteed to match a separate satisfies_rank_condition call; on this
+    # input the first draw reaches the maximum, so the whole verdicts agree
     q = Mat.from_rows([[2, 1, 0, 0, 1], [0, 3, 1, 0, 0], [1, 0, 5, 0, 0],
                        [0, 0, 1, 7, 0], [1, 0, 0, 0, 1]])
     path = tmp_path / "v.json"
@@ -198,6 +199,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("analyze", str(bad)) == 2
+
+
+def test_analyze_rank_level_out_of_range_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    write_subspace(path, extremal_space(4, 1, 1))
+    for k in ("-1", "4"):
+        assert run_cli("analyze", str(path), "--k", k) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "INVALID_INPUT"
 
 
 def test_boolean_ambient_is_invalid_input(tmp_path, capsys):

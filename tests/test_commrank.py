@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from crlab import commrank
 from crlab.commrank import (certify_rank_condition_symbolic,
                             check_dimension_bound, dimension_bound,
                             max_commutator_rank, satisfies_rank_condition)
@@ -100,10 +101,11 @@ def test_check_dimension_bound_zero_space():
     assert report.status == "PASS" and report.dim == 0
 
 
-def test_check_dimension_bound_underestimated_rank_is_flagged():
+def test_check_dimension_bound_underestimated_rank_is_flagged(monkeypatch):
     # degenerate sampling (zero coefficient bound) forces k-hat = 0, so the
     # report must flag the failure as a probable-rank artifact, not a disproof
-    report = check_dimension_bound(full_space(3), 2, 7, entry_bound=0)
+    monkeypatch.setattr(commrank, "ENTRY_BOUND", 0)
+    report = check_dimension_bound(full_space(3), 2, 7)
     assert report.status == "FAIL_PROBABLE"
     assert report.k_hat == 0 and report.slack < 0
     assert "lower bound" in report.note
@@ -186,13 +188,19 @@ def test_symbolic_agrees_with_sampling_at_n3():
                 assert sampled.status == "CERTIFIED_NO"
 
 
-def test_rank_condition_read_off_a_profile_scan():
-    # with entry bound 1 the running maximum climbs through several records,
-    # so the first record above k is not always the maximizing pair
+def test_rank_condition_read_off_a_profile_scan(monkeypatch):
+    # with entry bound 1 the running maximum climbs 2 -> 3, so the first pair
+    # above k = 0 is not the maximizing pair: the status read off the profile
+    # must still agree, and every witness must certify its rank exactly
+    monkeypatch.setattr(commrank, "ENTRY_BOUND", 1)
     v = full_space(3)
-    profile = max_commutator_rank(v, 24, 4, entry_bound=1)
+    profile = max_commutator_rank(v, 24, 4)
     assert profile.probable_max == 3
+    assert satisfies_rank_condition(v, 0, 24, 4).witness_rank == 2
     for k in range(3):
-        reused = satisfies_rank_condition(v, k, 24, 4, entry_bound=1)
-        assert reused == satisfies_rank_condition(full_space(3), k, 24, 4, entry_bound=1)
-    assert satisfies_rank_condition(v, 0, 24, 4, entry_bound=1).witness_rank < 3
+        sampled = satisfies_rank_condition(v, k, 24, 4)
+        read = profile.verdict(k)
+        assert read.status == sampled.status
+        for verdict in (read, sampled):
+            if verdict.certified_no:
+                assert commutator(*verdict.witness).rank() == verdict.witness_rank > k

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from crlab.commrank import dimension_bound
-from crlab.constructions import (FamilySpec, bidiagonal_commutator_diagonal,
+from crlab.constructions import (bidiagonal_commutator_diagonal,
                                  bidiagonal_witness_pair, build_family,
                                  commutative_exceptional_space,
                                  exceptional_extremal_space, extremal_space,
@@ -152,6 +152,9 @@ def test_exceptional_extremal_space_dims():
     assert exceptional_extremal_space(5, 2, "nil2").dim == dimension_bound(5, 2)
     with pytest.raises(ValueError):
         exceptional_extremal_space(6, 1, "diag")
+    for n, k in ((2, -1), (4, 4)):
+        with pytest.raises(ValueError, match="need 0 <= k < n"):
+            exceptional_extremal_space(n, k, "diag")
 
 
 def test_flanders_space():
@@ -206,13 +209,13 @@ def test_bidiagonal_guards():
 
 
 def test_family_dispatch():
-    assert build_family(FamilySpec("schur", 4)) == schur_space(4)
-    assert build_family(FamilySpec("vk", 5, k=2, l=1)) == extremal_space(5, 2, 1)
-    assert build_family(FamilySpec("vk-t", 5, k=2, l=1)) == \
+    assert build_family("schur", 4) == schur_space(4)
+    assert build_family("vk", 5, k=2, l=1) == extremal_space(5, 2, 1)
+    assert build_family("vk-t", 5, k=2, l=1) == \
         extremal_space(5, 2, 1).transpose_space()
-    assert build_family(FamilySpec("thm2-lastrow", 3)) == lastrow_zero_space(3)
-    assert build_family(FamilySpec("flanders", 4, k=2)) == flanders_space(4, 4, 2)
+    assert build_family("thm2-lastrow", 3) == lastrow_zero_space(3)
+    assert build_family("flanders", 4, k=2) == flanders_space(4, 4, 2)
     with pytest.raises(ValueError):
-        build_family(FamilySpec("vk", 5))
+        build_family("vk", 5)
     with pytest.raises(ValueError):
-        build_family(FamilySpec("unknown", 3))
+        build_family("unknown", 3)
