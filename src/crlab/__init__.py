@@ -14,8 +14,8 @@ from .constructions import (bidiagonal_witness_pair, build_family,
                             lastrow_zero_space, rank_one_max_space,
                             schur_space, valid_splits)
 from .invariant_spaces import (InvariantSpaceSpec, SearchReport,
+                               commutator_line_cover,
                                enumerate_invariant_spaces,
-                               has_bidiagonal_staircase,
                                is_triangular_invariant, search_max_dimension,
                                split_bound, triangular_closure)
 from .linalg import (Mat, SingularMatrixError, charpoly_discriminant,

@@ -21,11 +21,35 @@ Closure rules (least fixpoint):
                                   blocks, for a difference e_i - e_j every
                                   upper pair touching i or j
 
-The search maximizes dimension over all closed specs whose space passes the
-sampled rank condition, pruning specs that contain the bidiagonal staircase
-through index k+1 (their commutator witness exceeds rank k without any
-sampling).  Specs are scanned one after another in descending dimension,
-and the rank that refutes a spec is exact over Q.
+The search.  For a closed unit set S let C(S) be S plus the diagonal part
+span(I, e_i - e_j for each lower (i, j) in S): the spec with units S, one
+diagonal block and the forced differences.  Every closed spec with units S
+contains C(S), since its partition keeps the indices of lower positions as
+singletons and its blocks sum to I; and C is monotone, C(S) <= C(S') when
+S <= S'.  So an exact witness pair in C(S) refutes every spec whose unit set
+contains S, and the walk never extends a refuted set.  Every unrefuted
+closed set T is still reached: for a closed R < T and a position p in T - R,
+the closure of R + p lies in T, so a chain of closed sets inside T leads from
+the empty set to T, and each link, a subset of T, is unrefuted as well.  The
+partition specs of the surviving sets are then scanned in descending
+dimension, stopping below the best dimension confirmed.
+
+Confirmations are certified by a line cover where one exists.  The
+commutators of a unit-and-diagonal space V are spanned by [E_ij, E_jl]
+(E_il, or E_ii - E_jj when l = i) and [D, E_ij] = (d_i - d_j) E_ij, so the
+support of [V, V] is combinatorial.  If r rows and s columns cover it with
+r + s <= k, every commutator has rank <= k: V is inside a compression space
+(Atkinson and Lloyd, "Large spaces of matrices of bounded rank", 1980;
+Eisenbud and Harris, "Vector spaces of matrices of low rank", 1988).  A
+minimum cover has as many lines as a maximum matching of the support's
+row-column graph (König, 1931).  Only a space with no cover of at most k
+lines is sampled, and a sampled refutation is an exact rank over Q.
+
+``SearchReport.counts``: ``unit_sets`` closed sets decided by the walk,
+``unit_sets_refuted`` those with a witness in C(S), ``specs`` the partition
+specs of the surviving sets, and the scan's ``certified_no`` (exact
+witness), ``certified_yes`` (a cover of at most k lines), ``probable_yes``
+(sampled) and ``skipped_below_max``, which add up to ``specs``.
 
 Why triangular-invariant spaces attain the maximum: the d-dimensional spaces
 with rank [A, B] <= k form a closed subvariety of Gr(d, M_n) stable under the
@@ -52,10 +76,10 @@ __all__ = [
     "enumerate_invariant_spaces",
     "search_max_dimension",
     "split_bound",
-    "has_bidiagonal_staircase",
+    "commutator_line_cover",
 ]
 
-DEFAULT_SEARCH_GUARD = 7
+DEFAULT_SEARCH_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -87,14 +111,21 @@ class InvariantSpaceSpec:
             for x in block:
                 g[x] = Fraction(1)
             gens.append(g)
-        for (i, j) in sorted(self.forced_diffs):
-            g = [Fraction(0)] * self.n
-            g[i], g[j] = Fraction(1), Fraction(-1)
-            gens.append(g)
-        return VectorSpan(self.n, gens)
+        # e_x - e_m for x in each component of the forced pairs, m its largest
+        # index: the span of the forced differences, in few and nearly
+        # reduced rows, which the block indicators then follow
+        diffs = []
+        for comp in _components(self.n, self.forced_diffs):
+            for x in comp[:-1]:
+                g = [Fraction(0)] * self.n
+                g[x], g[comp[-1]] = Fraction(1), Fraction(-1)
+                diffs.append(g)
+        return VectorSpan(self.n, diffs + gens)
 
     @property
     def diag_dim(self):
+        if not self.forced_diffs:  # block indicators are independent
+            return len(self.diag_blocks)
         return self._diag_span.dim
 
     @property
@@ -242,23 +273,34 @@ def _set_partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD):
-    """Yield every closed spec exactly once.
+def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD, keep=None):
+    """Yield every closed spec exactly once, or with ``keep`` only the specs
+    of the closed unit sets it keeps.
 
     The closed position sets are found directly: starting from the empty
-    set, each one found is extended by one position and closed again, so
+    set, each one kept is extended by one position and closed again, so
     every closed set C is reached along a chain inside C; as the set is
-    already closed, only the new position is expanded.  They are yielded
-    in ascending bitmask order.  For each set S the diagonal part ranges over
-    all partitions that merge only blocks allowed by R4: indices touched by a
-    lower position stay singletons (their differences are forced), and any
-    two indices joined by a missing upper pair stay in one block.
+    already closed, only the new position is expanded.  ``keep(units)`` is
+    asked once per closed set reached, the empty one included, and a set it
+    rejects is neither extended nor yielded; when ``keep`` holds on every
+    closed subset of a kept set, every kept set is reached.  Sets are
+    yielded in ascending bitmask order.  For each set S the diagonal part
+    ranges over all partitions that merge only blocks allowed by R4: indices
+    touched by a lower position stay singletons (their differences are
+    forced), and any two indices joined by a missing upper pair stay in one
+    block.
     """
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the resource guard {max_n}; override max_n to force")
     pos, masks = _closure_masks(n)
-    closed, frontier = {0}, [0]
+
+    def kept(mask):
+        return keep is None or keep(_units_of(mask, pos))
+
+    seen = {0}
+    found = [0] if kept(0) else []
+    frontier = list(found)
     full = (1 << len(pos)) - 1
     while frontier:
         mask = frontier.pop()
@@ -267,15 +309,18 @@ def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD):
             bit = free & -free
             free ^= bit
             c = _close_mask(mask | bit, masks, bit)
-            if c not in closed:
-                closed.add(c)
-                frontier.append(c)
-    for mask in sorted(closed):
+            if c not in seen:
+                seen.add(c)
+                if kept(c):
+                    found.append(c)
+                    frontier.append(c)
+    for mask in sorted(found):
         yield from _specs_for_units(n, _units_of(mask, pos))
 
 
-def _specs_for_units(n, units):
-    # components of the graph whose edges are the missing upper pairs
+def _components(n, edges):
+    """Connected components of the graph on range(n) with the given edges,
+    each sorted, in order of their least index."""
     parent = list(range(n))
 
     def find(x):
@@ -284,16 +329,20 @@ def _specs_for_units(n, units):
             x = parent[x]
         return x
 
-    for p in range(n):
-        for q in range(p + 1, n):
-            if (p, q) not in units:
-                rp, rq = find(p), find(q)
-                if rp != rq:
-                    parent[rp] = rq
+    for (p, q) in edges:
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rp] = rq
     comps = {}
     for x in range(n):
         comps.setdefault(find(x), []).append(x)
-    comps = sorted(comps.values())
+    return sorted(comps.values())
+
+
+def _specs_for_units(n, units):
+    # components of the graph whose edges are the missing upper pairs
+    comps = _components(n, ((p, q) for p in range(n) for q in range(p + 1, n)
+                            if (p, q) not in units))
     forced = {x for (i, j) in units if i > j for x in (i, j)}
     fixed = [c for c in comps if len(c) == 1 and c[0] in forced]
     merge_pool = [c for c in comps if not (len(c) == 1 and c[0] in forced)]
@@ -304,13 +353,58 @@ def _specs_for_units(n, units):
 
 # -- the exhaustive bound search ---------------------------------------------------
 
-def has_bidiagonal_staircase(spec, k):
-    """True when S contains both sub- and superdiagonal positions through
-    index k+1, which realizes the explicit commutator witness of rank k+1."""
-    if k < 1 or spec.n < k + 1:
-        return False
-    return all((i + 1, i) in spec.units and (i, i + 1) in spec.units
-               for i in range(k))
+def commutator_line_cover(spec):
+    """Fewest rows plus columns that cover the support of [V, V], V the space
+    of ``spec``; every commutator of V has at most that rank.
+
+    The support is {(i, l) : (i, j), (j, l) in S} (the diagonal (i, i) when
+    l = i) plus each (i, j) in S that the diagonal part separates, i.e. with
+    i and j in different blocks or touched by a forced difference.  The
+    minimum cover is the size of a maximum matching (König), found by
+    augmenting paths.
+    """
+    n, units = spec.n, spec.units
+    block = {x: b for b, blk in enumerate(spec.diag_blocks) for x in blk}
+    touched = {x for d in spec.forced_diffs for x in d}
+    out_of = [[] for _ in range(n)]
+    for (i, j) in units:
+        out_of[i].append(j)
+    cols = [set() for _ in range(n)]  # the support, row by row
+    for (i, j) in units:
+        cols[i].update(out_of[j])
+        if block[i] != block[j] or i in touched or j in touched:
+            cols[i].add(j)
+    row_of = [None] * n
+    return sum(_augment(cols, row_of, i, set()) for i in range(n))
+
+
+def _augment(cols, row_of, i, seen):
+    """Kuhn's step: match row i, re-matching rows along an alternating path
+    (a module function, not a closure: a recursive closure is a reference
+    cycle, and one per cover left to the cycle collector raised peak memory)."""
+    for j in cols[i]:
+        if j not in seen:
+            seen.add(j)
+            if row_of[j] is None or _augment(cols, row_of, row_of[j], seen):
+                row_of[j] = i
+                return True
+    return False
+
+
+def _least_spec(n, units):
+    """C(S): the units S, one diagonal block and S's forced differences."""
+    return InvariantSpaceSpec(n, units, (tuple(range(n)),),
+                              frozenset(p for p in units if p[0] > p[1]))
+
+
+def _decide(spec, k, trials, seed):
+    """The search's verdict on one space: ``certified_yes`` from a cover of at
+    most k lines, else the sampled ``certified_no`` or ``probable_yes``."""
+    if commutator_line_cover(spec) <= k:
+        return "certified_yes"
+    if satisfies_rank_condition(spec, k, trials, seed).certified_no:
+        return "certified_no"
+    return "probable_yes"
 
 
 @dataclass(frozen=True)
@@ -329,35 +423,42 @@ class SearchReport:
 def search_max_dimension(n, k, trials=32, seed=2024, max_n=DEFAULT_SEARCH_GUARD):
     """Maximum dimension over closed specs passing the rank condition at k.
 
-    Specs are processed in descending dimension, so the scan stops as soon as
-    every remaining spec is smaller than the best passing one; pruned and
-    refuted counts are reported.
+    The closed unit sets are walked from the empty set, and a set whose least
+    space C(S) is refuted is dropped with all its supersets (module
+    docstring).  The partition specs of the remaining sets are decided in
+    descending dimension and then ``sort_key`` order, and the scan stops
+    below the best dimension confirmed; ``argmax`` is every confirmed spec of
+    that dimension, in scan order.
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    specs = sorted(((s.dim, s) for s in enumerate_invariant_spaces(n, max_n=max_n)),
-                   key=lambda t: (-t[0], t[1].sort_key()))
-    bound = dimension_bound(n, k)
-    counts = {"specs": len(specs), "pruned": 0, "certified_no": 0,
-              "probable_yes": 0, "skipped_below_max": 0}
-    best = -1
-    argmax = []
+    counts = dict.fromkeys(("unit_sets", "unit_sets_refuted", "specs", "certified_no",
+                            "certified_yes", "probable_yes", "skipped_below_max"), 0)
 
-    for d, spec in specs:
+    def unrefuted(units):
+        counts["unit_sets"] += 1
+        if _decide(_least_spec(n, units), k, trials, seed) == "certified_no":
+            counts["unit_sets_refuted"] += 1
+            return False
+        return True
+
+    by_dim = {}
+    for spec in enumerate_invariant_spaces(n, max_n=max_n, keep=unrefuted):
+        by_dim.setdefault(spec.dim, []).append(spec)
+        counts["specs"] += 1
+    best, argmax = -1, []
+    for d in sorted(by_dim, reverse=True):
         if d < best:
-            counts["skipped_below_max"] += 1
-        elif has_bidiagonal_staircase(spec, k):
-            counts["pruned"] += 1
-        elif satisfies_rank_condition(spec, k, trials, seed).certified_no:
-            counts["certified_no"] += 1
-        else:
-            counts["probable_yes"] += 1
-            if d > best:
+            counts["skipped_below_max"] += len(by_dim[d])
+            continue
+        for spec in sorted(by_dim[d], key=InvariantSpaceSpec.sort_key):
+            verdict = _decide(spec, k, trials, seed)
+            counts[verdict] += 1
+            if verdict != "certified_no":
                 best = d
-                argmax = [spec]
-            else:
                 argmax.append(spec)
 
+    bound = dimension_bound(n, k)
     return SearchReport(n=n, k=k, trials=trials, seed=seed,
                         bound=bound, max_dim=best, argmax=tuple(argmax),
                         counts=counts, matches_bound=best == bound)

@@ -109,6 +109,9 @@ def test_search_command(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["results"]["max_dim"] == 5
     assert report["results"]["matches_bound"] is True
+    counts = report["results"]["counts"]
+    assert counts["probable_yes"] == 0
+    assert counts["certified_yes"] == len(report["results"]["argmax"])
 
 
 def test_search_rules_flag(capsys):
