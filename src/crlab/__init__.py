@@ -23,9 +23,8 @@ from .linalg import (Mat, SingularMatrixError, charpoly_discriminant,
 from .numberfield import ExtensionLimitError, NumberField
 from .subspace import MatrixSubspace, full_space, span, zero_space
 from .triangularize import (InconsistentFamilyError, InvariantFailureError,
-                            NonCommutingError, RankOneFamily,
-                            TriangularizationResult, classify_rank_one_family,
-                            triangularize_commuting, triangularize_rank_one,
+                            RankOneFamily, TriangularizationResult,
+                            classify_rank_one_family, triangularize_rank_one,
                             verify_triangular)
 from .verify import (AlgebraReport, FlandersReport, StructureVerdict,
                      algebra_structure_report, find_distinct_eigenvalue_element,

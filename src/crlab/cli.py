@@ -1,10 +1,17 @@
 """Batch command-line interface.
 
 Subcommands: construct, analyze, triangularize, search, verify-structure,
-selftest.  All randomized results record (seed, trials).  Exit codes: 0 on
-success, 1 on verdict failures (search below the bound, refuted rank
-condition, failed structure match, triangularization errors), 2 on parse or
-validation problems (with a machine-readable error object on stderr).
+selftest.  Exit codes: 0 on success, 1 on verdict failures (search below the
+bound, refuted rank condition, failed structure match, triangularization
+errors), 2 on parse or validation problems (with a machine-readable error
+object on stderr).
+
+analyze, triangularize, search and verify-structure each return (results,
+ok), and one writer turns that into the report written to ``-o`` or stdout:
+``command``; ``args``, every parsed argument except ``-o``, ``--seed`` and
+``--trials``; ``seed`` and ``trials`` at the top level for the sampled verbs;
+``results``; and ``wall_time_ms``, the only field that differs between two
+runs on the same arguments.  The parser is built once per process.
 
 Environment: CRLAB_MAX_N overrides the search size guard.
 """
@@ -12,6 +19,7 @@ Environment: CRLAB_MAX_N overrides the search size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -28,29 +36,38 @@ from .verify import structure_check
 
 _FAMILIES = ("schur", "vk", "vk-t", "thm2-lastrow", "thm2-firstcol",
              "rank1max", "flanders")
+# parsed arguments a report does not echo under "args": the verb, its
+# function and the output path; seed and trials sit at the top level
+_UNECHOED = frozenset(("command", "func", "output", "seed", "trials"))
+_TRIANGULARIZE_ERRORS = {InconsistentFamilyError: "INCONSISTENT",
+                         InvariantFailureError: "INVARIANT_FAILURE",
+                         ExtensionLimitError: "EXTENSION_LIMIT"}
 
 
-def _emit(payload, out_path):
-    text = dumps_canonical(payload)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _report(command, args_echo, results, t0, seed=None, trials=None):
-    payload = {
-        "command": command,
-        "args": args_echo,
-        "results": results,
-        "wall_time_ms": int((time.monotonic() - t0) * 1000),
-    }
-    if seed is not None:
-        payload["seed"] = seed
-    if trials is not None:
-        payload["trials"] = trials
-    return payload
+def _reporting(verb):
+    """The one writer of the report verbs: runs ``verb(args)``, which returns
+    (results, ok), times it, writes the report envelope to ``-o`` or stdout,
+    and returns the exit code."""
+    def run(args):
+        t0 = time.monotonic()
+        results, ok = verb(args)
+        given = vars(args)
+        payload = {
+            "command": args.command,
+            "args": {key: value for key, value in given.items()
+                     if key not in _UNECHOED},
+            "results": results,
+            "wall_time_ms": int((time.monotonic() - t0) * 1000),
+        }
+        payload.update((key, given[key]) for key in ("seed", "trials") if key in given)
+        text = dumps_canonical(payload)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if ok else 1
+    return run
 
 
 def _cmd_construct(args):
@@ -63,7 +80,6 @@ def _cmd_construct(args):
 
 
 def _cmd_analyze(args):
-    t0 = time.monotonic()
     v = read_subspace(args.file)
     if args.k is not None and not 0 <= args.k < v.n:
         raise ValueError("need 0 <= k < n")
@@ -81,67 +97,39 @@ def _cmd_analyze(args):
         verdict = bound_report.profile.verdict(args.k)
         results["rank_condition"] = to_jsonable(verdict)
         ok = ok and not verdict.certified_no
-    _emit(_report("analyze", {"file": args.file, "k": args.k}, results, t0,
-                  seed=args.seed, trials=args.trials), args.output)
-    return 0 if ok else 1
+    return results, ok
 
 
 def _cmd_triangularize(args):
-    t0 = time.monotonic()
     v = read_subspace(args.file)
     try:
         res = triangularize_rank_one(v)
-    except InconsistentFamilyError as exc:
-        _emit(_report("triangularize", {"file": args.file}, {
-            "error": {
-                "code": "INCONSISTENT",
-                "message": str(exc),
-                "witness_pair": to_jsonable(list(exc.pair)),
-                "witness_commutator_rank": exc.comm.rank(),
-            }}, t0), args.output)
-        return 1
-    except InvariantFailureError as exc:
-        _emit(_report("triangularize", {"file": args.file}, {
-            "error": {
-                "code": "INVARIANT_FAILURE",
-                "message": str(exc),
-                "witness_member": to_jsonable(exc.member),
-            }}, t0), args.output)
-        return 1
-    except ExtensionLimitError as exc:
-        _emit(_report("triangularize", {"file": args.file}, {
-            "error": {"code": "EXTENSION_LIMIT", "message": str(exc)}}, t0),
-            args.output)
-        return 1
-    results = {
+    except tuple(_TRIANGULARIZE_ERRORS) as exc:
+        error = {"code": _TRIANGULARIZE_ERRORS[type(exc)], "message": str(exc)}
+        if isinstance(exc, InconsistentFamilyError):
+            error["witness_pair"] = to_jsonable(list(exc.pair))
+            error["witness_commutator_rank"] = exc.comm.rank()
+        elif isinstance(exc, InvariantFailureError):
+            error["witness_member"] = to_jsonable(exc.member)
+        return {"error": error}, False
+    return {
         "P": to_jsonable(res.P),
         "chain_dims": list(res.chain_dims),
         "field": to_jsonable(res.field),
         "verified_upper_triangular": verify_triangular(v, res.P),
-    }
-    _emit(_report("triangularize", {"file": args.file}, results, t0), args.output)
-    return 0
+    }, True
 
 
 def _cmd_search(args):
-    t0 = time.monotonic()
     guard = int(os.environ.get("CRLAB_MAX_N", DEFAULT_SEARCH_GUARD))
     report = search_max_dimension(args.n, args.k, trials=args.trials,
                                   seed=args.seed, max_n=guard)
-    results = to_jsonable(report)
-    _emit(_report("search", {"n": args.n, "k": args.k, "rules": args.rules},
-                  results, t0, seed=args.seed, trials=args.trials), args.output)
-    return 0 if report.matches_bound else 1
+    return to_jsonable(report), report.matches_bound
 
 
 def _cmd_verify_structure(args):
-    t0 = time.monotonic()
-    v = read_subspace(args.file)
-    verdict = structure_check(v, args.trials, args.seed)
-    _emit(_report("verify-structure", {"file": args.file},
-                  to_jsonable(verdict), t0, seed=args.seed, trials=args.trials),
-          args.output)
-    return 0 if verdict.matched else 1
+    verdict = structure_check(read_subspace(args.file), args.trials, args.seed)
+    return to_jsonable(verdict), verdict.matched
 
 
 def _cmd_selftest(args):
@@ -186,7 +174,8 @@ def _cmd_selftest(args):
     return 1 if failures else 0
 
 
-def build_parser():
+@functools.cache
+def _parser():
     p = argparse.ArgumentParser(prog="crlab",
                                 description="exact commutator-rank toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -206,13 +195,13 @@ def build_parser():
     a.add_argument("--seed", type=int, default=2024)
     a.add_argument("--k", type=int, help="also test the rank condition at k")
     a.add_argument("-o", "--output")
-    a.set_defaults(func=_cmd_analyze)
+    a.set_defaults(func=_reporting(_cmd_analyze))
 
     t = sub.add_parser("triangularize",
                        help="simultaneous triangularization (rank-one spaces)")
     t.add_argument("file")
     t.add_argument("-o", "--output")
-    t.set_defaults(func=_cmd_triangularize)
+    t.set_defaults(func=_reporting(_cmd_triangularize))
 
     s = sub.add_parser("search", help="exhaustive invariant-space search")
     s.add_argument("--n", type=int, required=True)
@@ -222,14 +211,14 @@ def build_parser():
     s.add_argument("--rules", choices=("full",), default="full",
                    help="the closure rule set ('full' is the only one)")
     s.add_argument("-o", "--output")
-    s.set_defaults(func=_cmd_search)
+    s.set_defaults(func=_reporting(_cmd_search))
 
     vs = sub.add_parser("verify-structure", help="equality-case structure test")
     vs.add_argument("file")
     vs.add_argument("--trials", type=int, default=32)
     vs.add_argument("--seed", type=int, default=2024)
     vs.add_argument("-o", "--output")
-    vs.set_defaults(func=_cmd_verify_structure)
+    vs.set_defaults(func=_reporting(_cmd_verify_structure))
 
     st = sub.add_parser("selftest", help="formula identities and variant tables")
     st.set_defaults(func=_cmd_selftest)
@@ -237,8 +226,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, ValueError, OSError) as exc:

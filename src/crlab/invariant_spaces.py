@@ -432,6 +432,8 @@ def search_max_dimension(n, k, trials=32, seed=2024, max_n=DEFAULT_SEARCH_GUARD)
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     counts = dict.fromkeys(("unit_sets", "unit_sets_refuted", "specs", "certified_no",
                             "certified_yes", "probable_yes", "skipped_below_max"), 0)
 

@@ -51,11 +51,9 @@ from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
 __all__ = [
     "RankOneFamily",
     "TriangularizationResult",
-    "NonCommutingError",
     "InconsistentFamilyError",
     "InvariantFailureError",
     "classify_rank_one_family",
-    "triangularize_commuting",
     "triangularize_rank_one",
     "verify_triangular",
 ]
@@ -63,15 +61,6 @@ __all__ = [
 _COMBO_ATTEMPTS = 8
 _COMBO_SEED = 0x51DE
 MAX_FIELD_DEGREE = 24
-
-
-class NonCommutingError(ValueError):
-    """A commuting-family routine met a nonzero commutator."""
-
-    def __init__(self, pair, comm):
-        self.pair = pair
-        self.comm = comm
-        super().__init__("basis pair has a nonzero commutator")
 
 
 class InconsistentFamilyError(ValueError):
@@ -266,17 +255,9 @@ def _triangularize(v):
     return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)), field=field)
 
 
-def triangularize_commuting(v):
-    """Flag construction for a commuting family (every basis pair must have
-    an exactly zero commutator)."""
-    first = next(_nonzero_commutators(v.basis), None)
-    if first is not None:
-        raise NonCommutingError(*first)
-    return _triangularize(v)
-
-
 def triangularize_rank_one(v):
-    """Simultaneous triangularization of a space with rank-<=1 commutators."""
+    """Simultaneous triangularization of a space with rank-<=1 commutators
+    (a commuting space is the ZERO family, through the same recursion)."""
     classify_rank_one_family(v)  # raises InconsistentFamilyError on a bad family
     return _triangularize(v)
 

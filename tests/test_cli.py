@@ -7,6 +7,7 @@ import pytest
 from crlab.cli import main
 from crlab.commrank import satisfies_rank_condition
 from crlab.constructions import extremal_space, flanders_space
+from crlab.invariant_spaces import search_max_dimension
 from crlab.linalg import Mat
 from crlab.serialize import (SchemaError, read_subspace, subspace_from_dict,
                              subspace_to_dict, to_jsonable, write_subspace)
@@ -123,6 +124,17 @@ def test_search_rules_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_search_rejects_trials_below_one(capsys):
+    # checked before the walk, so also where nothing would be sampled (n = 1)
+    for n, k in ((1, 0), (3, 1)):
+        with pytest.raises(ValueError):
+            search_max_dimension(n, k, trials=0)
+        assert run_cli("search", "--n", str(n), "--k", str(k), "--trials", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "INVALID_INPUT"
+
+
 def test_search_guard_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CRLAB_MAX_N", "2")
     code = run_cli("search", "--n", "3", "--k", "1")
@@ -225,15 +237,41 @@ def test_boolean_ambient_is_invalid_input(tmp_path, capsys):
 
 
 def test_report_reproducibility(tmp_path):
+    # in-process calls share one parser; a report must not depend on the call
     out = tmp_path / "v.json"
     run_cli("construct", "--family", "vk", "--n", "4", "--k", "1", "--l", "1",
             "-o", str(out))
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    run_cli("analyze", str(out), "--trials", "16", "--seed", "9", "-o", str(r1))
-    run_cli("analyze", str(out), "--trials", "16", "--seed", "9", "-o", str(r2))
-    d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
-    d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
-    assert d1 == d2
+    for argv in (["analyze", str(out), "--trials", "16", "--seed", "9"],
+                 ["triangularize", str(out)],
+                 ["verify-structure", str(out), "--trials", "16", "--seed", "9"]):
+        assert run_cli(*argv, "-o", str(r1)) == run_cli(*argv, "-o", str(r2))
+        d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
+        d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
+        assert d1 == d2, argv
+
+
+def test_report_envelope_of_each_verb(tmp_path, capsys):
+    v, bad = tmp_path / "v.json", tmp_path / "bad.json"
+    write_subspace(v, extremal_space(4, 1, 1))
+    write_subspace(bad, span([Mat.unit(2, 0, 1), Mat.unit(2, 1, 0)]))
+    sampled = ["--trials", "8", "--seed", "5"]
+    cases = [(["analyze", str(v), "--k", "1", *sampled], {"file": str(v), "k": 1}),
+             (["triangularize", str(v)], {"file": str(v)}),
+             (["triangularize", str(bad)], {"file": str(bad)}),
+             (["search", "--n", "3", "--k", "1", *sampled], {"n": 3, "k": 1, "rules": "full"}),
+             (["verify-structure", str(v), *sampled], {"file": str(v)})]
+    for argv, echo in cases:
+        run_cli(*argv)
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == argv[0]
+        assert report["args"] == echo
+        if argv[0] == "triangularize":
+            assert set(report) == {"command", "args", "results", "wall_time_ms"}
+        else:
+            assert set(report) == {"command", "args", "results", "wall_time_ms",
+                                   "seed", "trials"}
+            assert (report["seed"], report["trials"]) == (5, 8)
 
 
 def test_analyze_accepts_every_valid_construction(tmp_path, capsys):

@@ -13,8 +13,7 @@ from crlab.linalg import Mat, block_diag, commutator, random_matrix
 from crlab.serialize import to_jsonable, write_subspace
 from crlab.subspace import span
 from crlab.triangularize import (MAX_FIELD_DEGREE, InconsistentFamilyError,
-                                 NonCommutingError, classify_rank_one_family,
-                                 triangularize_commuting,
+                                 classify_rank_one_family,
                                  triangularize_rank_one, verify_triangular)
 from crlab.commrank import max_commutator_rank
 
@@ -107,46 +106,41 @@ def test_classify_transpose_swaps_side_same_direction():
     assert fam.x0 == fam_t.x0
 
 
-# -- commuting triangularization ------------------------------------------------
+# -- commuting families (the ZERO side of the rank-one recursion) ---------------
 
 def test_commuting_scalar_space():
-    res = triangularize_commuting(span([Mat.identity(3)]))
+    res = triangularize_rank_one(span([Mat.identity(3)]))
     assert res.P == Mat.identity(3)
     assert res.chain_dims == (1, 2, 3)
 
 
 def test_commuting_diagonals_identity():
-    res = triangularize_commuting(span([Mat.diagonal([1, 2, 3]), Mat.diagonal([0, 0, 5])]))
+    res = triangularize_rank_one(span([Mat.diagonal([1, 2, 3]), Mat.diagonal([0, 0, 5])]))
     assert res.P == Mat.identity(3)
 
 
 def test_commuting_upper_units():
-    res = triangularize_commuting(span([E(3, 0, 1), E(3, 0, 2)]))
+    res = triangularize_rank_one(span([E(3, 0, 1), E(3, 0, 2)]))
     assert res.P == Mat.identity(3)
-
-
-def test_commuting_rejects_noncommuting_input():
-    with pytest.raises(NonCommutingError):
-        triangularize_commuting(span([E(3, 0, 1), E(3, 1, 2)]))
 
 
 def test_commuting_nontrivial_split():
     m = Mat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 3]])  # eigenvalues 1, -1, 3
-    res = triangularize_commuting(span([m]))
+    res = triangularize_rank_one(span([m]))
     assert res.field is None
     assert verify_triangular(span([m]), res.P)
 
 
 def test_commuting_extension_rotation():
     rot = Mat.from_rows([[0, -1], [1, 0]])
-    res = triangularize_commuting(span([rot]))
+    res = triangularize_rank_one(span([rot]))
     assert res.field is not None and res.field.degree == 2
     assert verify_triangular(span([rot]), res.P)
 
 
 def test_commuting_extension_sqrt2_block():
     m = Mat.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 5]])
-    res = triangularize_commuting(span([m]))
+    res = triangularize_rank_one(span([m]))
     assert res.field is not None
     assert verify_triangular(span([m]), res.P)
 
