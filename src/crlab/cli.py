@@ -109,6 +109,8 @@ def _cmd_triangularize(args):
         if isinstance(exc, InconsistentFamilyError):
             error["witness_pair"] = to_jsonable(list(exc.pair))
             error["witness_commutator_rank"] = exc.comm.rank()
+            if exc.reference_pair is not None:
+                error["reference_pair"] = to_jsonable(list(exc.reference_pair))
         elif isinstance(exc, InvariantFailureError):
             error["witness_member"] = to_jsonable(exc.member)
         return {"error": error}, False

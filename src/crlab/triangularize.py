@@ -1,12 +1,13 @@
 """Constructive simultaneous triangularization for spaces whose commutators
 all have rank at most one.
 
-The classification step factors one nonzero basis-pair commutator as an outer
-product u v^T and checks whether every other one shares the column direction
-(LEFT) or the row direction (RIGHT); a space whose basis-pair commutators all
-lie in {x0 y^T : y} has ALL its commutators there (the set is a linear space
-and commutators depend bilinearly on the arguments), so a successful
-classification certifies the hypothesis for every pair.
+The classification step factors each nonzero basis-pair commutator as an
+outer product u v^T and checks by 2x2 minors whether all share the first
+one's column direction (LEFT) or its row direction (RIGHT); a space whose
+basis-pair commutators all lie in {x0 y^T : y} has ALL its commutators there
+(the set is a linear space and commutators depend bilinearly on the
+arguments), so a successful classification certifies the hypothesis for
+every pair.
 
 Triangularization then recurses on a proper invariant subspace: pick a
 non-scalar member A, an exact eigenvalue lambda, and the singular shift
@@ -108,11 +109,9 @@ def _factor_rank_one(c):
     return u, v
 
 
-def _parallel_columns(c, u0):
-    """Do all columns of c lie on the line spanned by u0?"""
-    span = VectorSpan(len(u0))
-    span.add(u0)
-    return all(span.contains(c.col(j)) for j in range(c.cols))
+def _parallel(x, y):
+    """Are two nonzero vectors parallel (every 2x2 minor of [x y] zero)?"""
+    return all(x[i] * y[j] == x[j] * y[i] for i, j in combinations(range(len(x)), 2))
 
 
 def _nonzero_commutators(basis):
@@ -139,20 +138,15 @@ def classify_rank_one_family(v):
     if not nonzero:
         return RankOneFamily("ZERO", None)
     u0, v0 = _factor_rank_one(nonzero[0][1])
-    left_ok = True
-    right_ok = True
-    offender = None
+    left_ok = right_ok = True
     for pair, c in nonzero[1:]:
-        if left_ok and not _parallel_columns(c, u0):
-            left_ok = False
-            offender = (pair, c)
-        if right_ok and not _parallel_columns(c.transpose(), v0):
-            right_ok = False
-            offender = (pair, c)
+        u, w = _factor_rank_one(c)
+        left_ok = left_ok and _parallel(u, u0)
+        right_ok = right_ok and _parallel(w, v0)
         if not (left_ok or right_ok):
             raise InconsistentFamilyError(
                 "nonzero commutators share no common direction",
-                offender[0], offender[1], reference_pair=nonzero[0][0])
+                pair, c, reference_pair=nonzero[0][0])
     if left_ok:  # tie-break LEFT when a single commutator factors both ways
         return RankOneFamily("LEFT", Mat.column(u0))
     return RankOneFamily("RIGHT", Mat.column(v0))

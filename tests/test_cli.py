@@ -8,7 +8,7 @@ from crlab.cli import main
 from crlab.commrank import satisfies_rank_condition
 from crlab.constructions import extremal_space, flanders_space
 from crlab.invariant_spaces import search_max_dimension
-from crlab.linalg import Mat
+from crlab.linalg import Mat, commutator, mat_from_columns
 from crlab.serialize import (SchemaError, read_subspace, subspace_from_dict,
                              subspace_to_dict, to_jsonable, write_subspace)
 from crlab.subspace import span
@@ -181,6 +181,25 @@ def test_triangularize_inconsistent_error(tmp_path, capsys):
     err = json.loads(captured.out)["results"]["error"]
     assert err["code"] == "INCONSISTENT"
     assert err["witness_commutator_rank"] == 2
+    assert "reference_pair" not in err
+
+
+def test_triangularize_inconsistent_directions_carry_the_reference_pair(tmp_path, capsys):
+    # [E11+E33, E12] = E12 and [E11+E33, E34] = E34: each of rank one, but
+    # with neither a column nor a row direction in common
+    path = tmp_path / "bad.json"
+    write_subspace(path, span([Mat.unit(4, 0, 0) + Mat.unit(4, 2, 2),
+                               Mat.unit(4, 0, 1), Mat.unit(4, 2, 3)]))
+    code = run_cli("triangularize", str(path))
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["results"]["error"]
+    assert err["code"] == "INCONSISTENT"
+    assert err["witness_commutator_rank"] == 1
+    comms = [commutator(*(Mat.from_rows(m) for m in err[key]))
+             for key in ("witness_pair", "reference_pair")]
+    assert all(c.rank() == 1 for c in comms)
+    for a, b in (comms, [c.transpose() for c in comms]):  # columns, then rows
+        assert mat_from_columns([*map(a.col, range(4)), *map(b.col, range(4))]).rank() == 2
 
 
 def test_verify_structure_command(tmp_path, capsys):
