@@ -7,24 +7,25 @@ so every matrix has one scalar type.  The kernels use only field arithmetic,
 truthiness and equality, so they import no sympy.  Matrices are immutable
 and hashable; every operation is a pure function, so concurrent use is safe.
 
-Each kernel job has one implementation.  Products and commutators run one
-loop (:func:`_product`, :func:`_commutator_rows`) over ints or number-field
-elements; two rational operands are first cleared of denominators (one lcm
-per matrix), and each output entry is one Fraction over the product of the
-lcms.  :func:`_combine` forms every integer combination of integer rows.
-Rank and determinant over Q clear all denominators with one lcm L and run
-Bareiss (1968) fraction-free elimination, pivoting on the first nonzero
-entry of each column; det = sign * last pivot / L^n.  :func:`rref_rows`
-chooses its engine by scalar type alone, as the other kernels do: every
-rational row set is reduced by fraction-free Gauss–Jordan over ints,
-keeping each row primitive, and each pivot row is divided by its pivot at
-the end, which gives the unique RREF; only number-field rows take the field
-loop.  Integer-valued rational rows once stayed on the field loop, which
-paid while the search built a subspace per spec; without that work the
-integer path is faster on both benchmark workloads (2 shared vCPUs, Python
-3.11.7, 10 alternating pairs of 20-s runs): median ``adj_wall_s`` 0.0656 ->
-0.0573 s on ``search`` (10 pairs of 10 faster), 1.050 -> 0.986 s on
-``files`` (9 of 10).
+Each kernel job has one implementation.  A rational matrix keeps its
+integer form (L, L * data), L the lcm of its denominators, from its first
+use on (:meth:`Mat.integer_form`).  Products and commutators run one loop
+(:func:`_product`, :func:`_commutator_rows`) over ints or number-field
+elements; two rational operands run on their kept forms, and the result is
+built with its own form, so a chain such as P^{-1} A P clears no matrix
+twice.  Rank and determinant over Q run Bareiss (1968) fraction-free
+elimination on the form, pivoting on the first nonzero entry of each
+column; det = sign * last pivot / L^n.  :func:`_combine` forms every
+integer combination of rows.  :func:`rref_rows` chooses its engine by
+scalar type alone: every rational row set is reduced by fraction-free
+Gauss–Jordan over ints, keeping each row primitive, and each pivot row is
+divided by its pivot at the end, which gives the unique RREF; only
+number-field rows take the field loop.  :class:`VectorSpan` tests rational
+vectors against its rows' integer forms.  Median ``adj_wall_s`` over 10
+alternating pairs of 20-s runs (2 shared vCPUs, Python 3.11.7): the
+fraction-free ``rref_rows`` took ``files`` from 1.050 to 0.986 s and
+``search`` from 0.0656 to 0.0573 s; the kept integer form took ``files``
+from 0.968 to 0.817 s (10 of 10 pairs faster).
 
 The two integer eliminations stay separate because each is faster at its
 own job (2 vCPUs, Python 3.11.7).  A primitive-row echelon for the
@@ -78,7 +79,7 @@ _ONE = Fraction(1)
 class Mat:
     """Immutable dense matrix, entries row-major in a flat tuple."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_ints")
 
     def __init__(self, rows, cols, data):
         data = tuple(data)
@@ -181,13 +182,19 @@ class Mat:
 
     __rmul__ = __mul__
 
+    def integer_form(self):
+        """(L, [ints]) = ``_clear_denominators((data,))`` of a rational
+        matrix, computed on first use and kept (never mutated); a product or
+        commutator is handed its form when it is built."""
+        if not hasattr(self, "_ints"):
+            object.__setattr__(self, "_ints", _clear_denominators((self.data,)))
+        return self._ints
+
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         m, k, n = self.rows, self.cols, other.cols
-        a, b, d = _scaled_to_ints(self.data, other.data)
-        out = _product(a, b, m, k, n)
-        return Mat(m, n, out if d is None else _fractions(out, d))
+        return _exact(self, other, m, n, lambda a, b: _product(a, b, m, k, n))
 
     def transpose(self):
         return Mat(self.cols, self.rows,
@@ -231,17 +238,21 @@ class Mat:
     def rank(self):
         if not self.data:
             return 0
-        rows = [self.row(i) for i in range(self.rows)]
         if isinstance(self.data[0], Fraction):
-            return _bareiss(_clear_denominators(rows)[1])[0]
-        return len(rref_rows([list(r) for r in rows]))
+            return _bareiss(self._int_rows()[1])[0]
+        return len(rref_rows([list(self.row(i)) for i in range(self.rows)]))
+
+    def _int_rows(self):
+        """(L, rows of the integer form as fresh lists for elimination)."""
+        scale, (ints,) = self.integer_form()
+        return scale, [ints[i:i + self.cols] for i in range(0, len(ints), self.cols)]
 
     def det(self):
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
         if not isinstance(self.data[0], Fraction):
             raise ValueError("determinant is defined in rational mode only")
-        scale, rows = _clear_denominators([self.row(i) for i in range(self.rows)])
+        scale, rows = self._int_rows()
         rank, sign = _bareiss(rows)
         return Fraction(sign * rows[-1][-1] if rank == self.rows else 0, scale ** self.rows)
 
@@ -337,14 +348,20 @@ def _fractions(ints, d):
     return [Fraction(x, d) if x else _ZERO for x in ints]
 
 
-def _scaled_to_ints(a, b):
-    """(a', b', d): two rational flat matrices scaled to ints by their lcms,
-    with d the product of the lcms; other entries pass through, d = None."""
-    if isinstance(a[0], Fraction) and isinstance(b[0], Fraction):
-        la, (a,) = _clear_denominators((a,))
-        lb, (b,) = _clear_denominators((b,))
-        return a, b, la * lb
-    return a, b, None
+def _exact(a, b, m, n, kernel):
+    """The m-by-n matrix of the flat list kernel(x, y) on the entries of a
+    and b.  Rational operands run on their integer forms (L_a, x), (L_b, y);
+    the result out / d, d = L_a L_b, keeps the form (d/g, [out/g]) with
+    g = gcd(d, *out), exactly its entries' cleared denominators."""
+    if not (isinstance(a.data[0], Fraction) and isinstance(b.data[0], Fraction)):
+        return Mat(m, n, kernel(a.data, b.data))
+    (la, (x,)), (lb, (y,)) = a.integer_form(), b.integer_form()
+    out = kernel(x, y)
+    g = math.gcd(la * lb, *out)
+    d, out = la * lb // g, [e // g for e in out]
+    mat = Mat(m, n, _fractions(out, d))
+    object.__setattr__(mat, "_ints", (d, [out]))
+    return mat
 
 
 def _product(a, b, m, k, n):
@@ -368,10 +385,10 @@ def _commutator_rows(a, b, n):
     return out
 
 
-def _combine(rows, coeffs, size):
-    """The integer combination sum(c * row) of flat integer rows of length
-    ``size``, skipping zero coefficients and zero entries."""
-    acc = [0] * size
+def _combine(rows, coeffs, size, zero=0):
+    """The integer combination sum(c * row) of flat rows of length ``size``,
+    skipping zero coefficients and zero entries; ``zero`` is the rows' zero."""
+    acc = [zero] * size
     for c, row in zip(coeffs, rows):
         if c:
             for i, x in enumerate(row):
@@ -510,47 +527,57 @@ def commutator(a, b):
     if not (a.is_square and b.is_square and a.rows == b.rows):
         raise ValueError("commutator needs equal square matrices")
     n = a.rows
-    x, y, d = _scaled_to_ints(a.data, b.data)
-    out = [e for r in _commutator_rows(x, y, n) for e in r]
-    return Mat(n, n, out if d is None else _fractions(out, d))
+    return _exact(a, b, n, n, lambda x, y: [e for r in _commutator_rows(x, y, n) for e in r])
 
 
 class VectorSpan:
     """The span of vectors over an exact field, kept as the RREF rows of
     :func:`rref_rows` with their pivot columns; supports membership tests and
-    dimension counting."""
+    dimension counting.  Over Q a vector is tested fraction-free against the
+    rows' integer forms, cleared once per echelon."""
 
-    __slots__ = ("length", "rows", "pivots")
+    __slots__ = ("length", "rows", "pivots", "_ints")
 
     def __init__(self, length, vectors=()):
         self.length = length
         self.rows = [list(v) for v in vectors]
         self.pivots = rref_rows(self.rows)
         del self.rows[len(self.pivots):]
+        self._ints = None
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Residual of vec after elimination against the echelon rows."""
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = vec[p]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        """Is vec in the span?  Each echelon row clears the residual at its
+        pivot p; over Q the row's integer form (L, R) has R[p] = L, and the
+        residual, kept as ints, becomes (L v − v[p] R) / gcd(L, v[p])."""
+        if not vec or not isinstance(vec[0], Fraction):
+            for row, p in zip(self.rows, self.pivots):
+                f = vec[p]
+                if f:
+                    vec = [a - f * b for a, b in zip(vec, row)]
+            return not any(vec)
+        if self._ints is None:
+            self._ints = [_clear_denominators((r,)) for r in self.rows]
+        v = _clear_denominators((vec,))[1][0]
+        for (scale, (row,)), p in zip(self._ints, self.pivots):
+            f = v[p]
+            if f:
+                g = math.gcd(scale, f)
+                s, f = scale // g, f // g
+                v = [s * a - f * b for a, b in zip(v, row)]
+        return not any(v)
 
     def add(self, vec):
-        """Insert a vector; returns True when it enlarged the span."""
-        res = self.reduce(vec)
-        if not any(res):
+        """Insert a vector; returns True when it enlarged the span.  The RREF
+        of a span is unique, so the vector itself joins the rows."""
+        if self.contains(vec):
             return False
-        self.rows.append(res)
+        self.rows.append(list(vec))
         self.pivots = rref_rows(self.rows)
+        self._ints = None
         return True
 
 

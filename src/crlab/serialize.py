@@ -45,13 +45,15 @@ def scalar_to_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-_ENTRY_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_ENTRY_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def str_to_scalar(s):
-    if not isinstance(s, str) or not _ENTRY_RE.match(s):
+    match = _ENTRY_RE.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise SchemaError(f"entry {s!r} is not a rational 'p' or 'p/q' string")
-    return Fraction(s)
+    p, q = match.groups()
+    return Fraction(int(p), int(q or 1))
 
 
 def _mat_to_rows(m):

@@ -41,11 +41,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations
 
-from .linalg import (Mat, VectorSpan, block_diag, commutator, complete_basis,
-                     mat_from_columns)
+from .linalg import (Mat, VectorSpan, _combine, _zero_like, block_diag, commutator,
+                     complete_basis, mat_from_columns)
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
                           irreducible_factors)
 
@@ -166,7 +165,8 @@ def _eigenvalue_candidates(mats, rng):
     combinations.  The coefficients are drawn up front, so the generator's
     state does not depend on how many candidates are used."""
     draws = [[rng.randint(-4, 4) for _ in mats] for _ in range(_COMBO_ATTEMPTS)]
-    combos = (reduce(Mat.__add__, (m * c for m, c in zip(mats, cs) if c))
+    n, zero = mats[0].rows, _zero_like(mats[0].data[0])
+    combos = (Mat(n, n, _combine([m.data for m in mats], cs, n * n, zero))
               for cs in draws if any(cs))
     return (a for a in chain(mats, combos) if not a.is_scalar_matrix())
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,9 @@ from crlab.commrank import satisfies_rank_condition
 from crlab.constructions import extremal_space, flanders_space
 from crlab.invariant_spaces import search_max_dimension
 from crlab.linalg import Mat, commutator, mat_from_columns
-from crlab.serialize import (SchemaError, read_subspace, subspace_from_dict,
-                             subspace_to_dict, to_jsonable, write_subspace)
+from crlab.serialize import (SchemaError, read_subspace, str_to_scalar,
+                             subspace_from_dict, subspace_to_dict, to_jsonable,
+                             write_subspace)
 from crlab.subspace import span
 
 
@@ -64,8 +66,20 @@ def test_schema_validation_errors():
         subspace_from_dict({"ambient": 2, "field": "Q", "basis": [[["1"]]]})
     with pytest.raises(SchemaError):
         subspace_from_dict({"ambient": 1, "field": "Q", "basis": [[["0.5"]]]})
+    # a trailing newline and a non-ASCII digit are not "p" or "p/q" strings
+    for entry in ("3\n", "\u0663", "1/2\n"):
+        with pytest.raises(SchemaError):
+            subspace_from_dict({"ambient": 1, "field": "Q", "basis": [[[entry]]]})
     with pytest.raises(SchemaError):
         subspace_to_dict(flanders_space(2, 3, 1))
+
+
+def test_noncanonical_entries_read_exactly():
+    d = {"ambient": 1, "field": "Q", "basis": [[["2/4"]]]}
+    assert subspace_from_dict(d) == span([Mat.identity(1)])
+    for entry, value in (("2/4", Fraction(1, 2)), ("+3", Fraction(3)), ("-0", Fraction(0)),
+                         ("-6/9", Fraction(-2, 3)), ("007", Fraction(7))):
+        assert str_to_scalar(entry) == value
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -233,6 +247,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("analyze", str(bad)) == 2
+
+
+@pytest.mark.parametrize("entry", ["1\n", "\u0663"])
+def test_entry_outside_the_schema_is_invalid_input(tmp_path, capsys, entry):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"ambient": 1, "field": "Q", "basis": [[[entry]]]}))
+    assert run_cli("analyze", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "INVALID_INPUT"
 
 
 def test_analyze_rank_level_out_of_range_is_invalid_input(tmp_path, capsys):

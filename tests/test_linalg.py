@@ -181,14 +181,54 @@ def _as_sympy(m):
     lambda s: st.tuples(_matrices(s[0], s[1]), _matrices(s[1], s[2]))))
 def test_product_agrees_with_sympy(pair):
     a, b = pair
-    assert _as_sympy(Mat.from_rows(a) @ Mat.from_rows(b)) == _sympy_matrix(a) * _sympy_matrix(b)
+    ours = Mat.from_rows(a) @ Mat.from_rows(b)
+    assert _as_sympy(ours) == _sympy_matrix(a) * _sympy_matrix(b)
+    _assert_kept_form(ours)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_matrices(n, n), _matrices(n, n))))
 def test_commutator_agrees_with_sympy(pair):
     a, b = _sympy_matrix(pair[0]), _sympy_matrix(pair[1])
-    assert _as_sympy(commutator(*map(Mat.from_rows, pair))) == a * b - b * a
+    ours = commutator(*map(Mat.from_rows, pair))
+    assert _as_sympy(ours) == a * b - b * a
+    _assert_kept_form(ours)
+
+
+# -- the kept integer form: chained rational products against sympy -------------
+
+def _assert_kept_form(m):
+    """A product or commutator is built with its integer form, and the form
+    is the one clearing its entries' denominators would give."""
+    assert m._ints == linalg._clear_denominators((m.data,))
+
+
+def _unimodular_times_primes(n, seed):
+    """P = U diag(1, 2, 3, 5, 7) with U unimodular, so P^{-1} has denominators."""
+    u = _unit_triangular(n, seed, upper=False) @ _unit_triangular(n, seed + 1, upper=True)
+    return u @ Mat.diagonal([1, 2, 3, 5, 7][:n])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.integers(0, 10 ** 6), _matrices(n, n), _matrices(n, n))))
+def test_chained_rational_products_agree_with_sympy(case):
+    seed, a_rows, b_rows = case
+    p = _unimodular_times_primes(len(a_rows), seed)
+    p_inv = p.inverse()
+    a, b = Mat.from_rows(a_rows), Mat.from_rows(b_rows)
+    sp, sa, sb = _as_sympy(p), _sympy_matrix(a_rows), _sympy_matrix(b_rows)
+    ref_a, ref_b = sp.inv() * sa * sp, sp.inv() * sb * sp
+    conj_a, conj_b = p_inv @ a @ p, p_inv @ b @ p
+    assert _as_sympy(conj_a) == ref_a and _as_sympy(conj_b) == ref_b
+    # commutators of product results, and a chain back through them
+    c = commutator(conj_a, conj_b)
+    assert _as_sympy(c) == ref_a * ref_b - ref_b * ref_a
+    assert _as_sympy(p @ c @ p_inv) == sa * sb - sb * sa
+    assert c.rank() == _as_sympy(c).rank()
+    assert _q(conj_a.det()) == ref_a.det()
+    for m in (p, p_inv @ a, conj_a, conj_b, c, commutator(c, conj_a)):
+        _assert_kept_form(m)
 
 
 _CBRT2 = NumberField([-2, 0, 0, 1])
@@ -386,3 +426,23 @@ def test_span_add_matches_batch_rref(case):
 @given(_span_cases(st.lists(_ENTRY, min_size=2, max_size=2).map(_QI.element), 3))
 def test_span_add_matches_batch_rref_over_q_i(case):
     _check_span_engine(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_cases(_ENTRY, 7))
+def test_span_contains_and_add_agree_with_sympy_rank(case):
+    vectors, probes = case
+    # a rational combination of the first and last vector lies in the span
+    vectors = vectors + [[a / 3 - b * Fraction(5, 7) for a, b in zip(vectors[0], vectors[-1])]]
+
+    def rank(vs):
+        return _sympy_matrix(vs).rank() if vs else 0
+
+    span = VectorSpan(len(vectors[0]))
+    for i, v in enumerate(vectors):
+        inside = rank(vectors[:i + 1]) == rank(vectors[:i])
+        assert span.contains(v) == inside
+        assert span.add(v) == (not inside)
+        assert span.dim == rank(vectors[:i + 1])
+    for w in probes:
+        assert span.contains(w) == (rank(vectors + [w]) == span.dim)
