@@ -21,11 +21,16 @@ scalar type alone: every rational row set is reduced by fraction-free
 Gauss–Jordan over ints, keeping each row primitive, and each pivot row is
 divided by its pivot at the end, which gives the unique RREF; only
 number-field rows take the field loop.  :class:`VectorSpan` tests rational
-vectors against its rows' integer forms.  Median ``adj_wall_s`` over 10
-alternating pairs of 20-s runs (2 shared vCPUs, Python 3.11.7): the
-fraction-free ``rref_rows`` took ``files`` from 1.050 to 0.986 s and
-``search`` from 0.0656 to 0.0573 s; the kept integer form took ``files``
-from 0.968 to 0.817 s (10 of 10 pairs faster).
+vectors against its rows' integer forms.  A change of basis is one
+reduction: :func:`adapted_basis` reduces [v_1 ... v_k | I], whose pivot
+columns P are the v's and exactly the e_i that raise the rank of the
+columns before them; the row operations E turn P into I, so E, the
+right-hand block, is P^{-1} (:meth:`Mat.inverse` is k = n).
+
+Median ``adj_wall_s`` over 10 alternating pairs of 20-s runs (2 shared
+vCPUs, Python 3.11.7): the fraction-free ``rref_rows`` took ``files`` from
+1.050 to 0.986 s and ``search`` from 0.0656 to 0.0573 s; the kept integer
+form took ``files`` from 0.968 to 0.817 s (10 of 10 pairs faster).
 
 The two integer eliminations stay separate because each is faster at its
 own job (2 vCPUs, Python 3.11.7).  A primitive-row echelon for the
@@ -50,7 +55,7 @@ __all__ = [
     "random_matrix",
     "rref_rows",
     "mat_from_columns",
-    "complete_basis",
+    "adapted_basis",
     "block_diag",
 ]
 
@@ -60,15 +65,13 @@ class SingularMatrixError(ValueError):
 
 
 def as_scalar(x):
-    """Coerce ints and 'p/q' strings to Fraction; pass field elements through."""
+    """Coerce ints to Fraction; pass field elements through; refuse floats and strings."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError("floating-point entries are not allowed; use Fraction")
+    if isinstance(x, (float, str)):
+        raise TypeError("floating-point and string entries are not allowed; use Fraction")
     return x
 
 
@@ -275,20 +278,10 @@ class Mat:
         return basis
 
     def inverse(self):
+        """The P^{-1} of :func:`adapted_basis` on the columns: one reduction of [M | I]."""
         if not self.is_square:
             raise SingularMatrixError("not square")
-        n = self.rows
-        zero = _zero_like(self.data[0])
-        one = _one_like(self.data[0])
-        aug = []
-        for i in range(n):
-            row = list(self.row(i)) + [zero] * n
-            row[n + i] = one
-            aug.append(row)
-        pivots = rref_rows(aug)
-        if pivots != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return Mat(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+        return adapted_basis([self.col(j) for j in range(self.cols)], self.rows)[1]
 
     def charpoly(self):
         """Characteristic polynomial det(xI − M), little-endian coefficients.
@@ -597,18 +590,22 @@ def mat_from_columns(columns):
     return Mat(n, len(cols), tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
 
 
-def complete_basis(columns, n, one=_ONE):
-    """Extend independent n-by-1 columns to a basis of the whole space with
-    standard vectors; ``one`` is the unit of the columns' field."""
-    span = VectorSpan(n, [c.data for c in columns])
-    out = list(columns)
-    zero = one - one
-    for i in range(n):
-        e = [zero] * n
-        e[i] = one
-        if span.add(e):
-            out.append(Mat.column(e))
-    return out
+def adapted_basis(vectors, n):
+    """(P, P^{-1}) from one reduction of [v_1 ... v_k | I]: P extends independent
+    length-n vectors by the e_i that raise the rank of the columns before
+    them.  Raises SingularMatrixError when the vectors are dependent."""
+    vectors = [tuple(map(as_scalar, v)) for v in vectors]
+    k = len(vectors)
+    one = _one_like(vectors[0][0]) if vectors else _ONE
+    zero = _zero_like(one)
+    aug = [[*(v[i] for v in vectors), *(one if j == i else zero for j in range(n))]
+           for i in range(n)]
+    pivots = rref_rows(aug)
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrixError("matrix is singular")
+    cols = vectors + [tuple(one if j == c - k else zero for j in range(n)) for c in pivots[k:]]
+    return (Mat(n, n, tuple(c[i] for i in range(n) for c in cols)),
+            Mat(n, n, [x for r in aug for x in r[k:]]))
 
 
 def block_diag(a, b):

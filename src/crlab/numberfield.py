@@ -35,7 +35,6 @@ __all__ = [
     "NumberField",
     "ExtensionLimitError",
     "irreducible_factors",
-    "roots_in_field",
     "adjoin_root",
 ]
 
@@ -172,12 +171,6 @@ def irreducible_factors(coeffs, field=None):
     else:
         out.sort(key=lambda fm: len(fm[0]))
     return out
-
-
-def roots_in_field(coeffs, field=None):
-    """The roots in Q (``field=None``) or in a number field of a polynomial
-    over it: one per linear factor, rational roots in increasing order."""
-    return [-f[0] for f, _ in irreducible_factors(coeffs, field) if len(f) == 2]
 
 
 def adjoin_root(g, field=None):

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 
-from .linalg import (Mat, VectorSpan, _combine, _zero_like, block_diag, commutator,
-                     complete_basis, mat_from_columns)
+from .linalg import (Mat, VectorSpan, _combine, _zero_like, adapted_basis, block_diag,
+                     commutator)
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
                           irreducible_factors)
 
@@ -208,9 +207,7 @@ def _column_space(m):
 def _is_invariant(mats, vectors):
     """Is span(vectors) invariant under every matrix?  Returns an offending
     (matrix, vector) witness or None."""
-    span = VectorSpan(vectors[0].rows)
-    for u in vectors:
-        span.add(u.data)
+    span = VectorSpan(vectors[0].rows, [u.data for u in vectors])
     for a in mats:
         for u in vectors:
             if not span.contains((a @ u).data):
@@ -231,9 +228,7 @@ def _triangularize_family(mats, n, field, rng):
         if bad is not None:
             raise InvariantFailureError(b0, bad[0], bad[1])
     m = len(subspace)
-    one = Fraction(1) if field is None else field.one()
-    p1 = mat_from_columns(complete_basis(subspace, n, one))
-    p1_inv = p1.inverse()
+    p1, p1_inv = adapted_basis([u.data for u in subspace], n)
     conj = [p1_inv @ a @ p1 for a in mats]
     p_top, field = _triangularize_family([t.block(0, m, 0, m) for t in conj],
                                          m, field, rng)

@@ -28,8 +28,8 @@ from itertools import combinations
 
 from .commrank import check_dimension_bound
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
-from .linalg import (Mat, VectorSpan, block_diag, charpoly_discriminant, commutator,
-                     complete_basis, mat_from_columns)
+from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, charpoly_discriminant,
+                     commutator, mat_from_columns)
 from .numberfield import irreducible_factors
 from .subspace import MatrixSubspace
 
@@ -154,33 +154,32 @@ def _recognize(v, report, seed):
 def _match_block_form(w, k, seed):
     """Recover a similarity onto the canonical space, if one exists.
 
-    Returns ("generic", P, l, chain) or ("exceptional", P, tag, chain), with
-    conjugate(w, P) exactly equal to the canonical construction; None when
-    recovery fails.
+    Returns ("generic", Q, l, chain) or ("exceptional", Q, tag, chain), with
+    w.conjugate(Q) exactly equal to the canonical construction; None when
+    recovery fails.  P1 = [core | e_i ...] and the strip completion P2 each
+    come with their inverses from one :func:`adapted_basis` reduction, so the
+    witness Q = diag(I_k, P2^{-1}) P1^{-1} is a product; the conjugation
+    test inverts Q on its own.
     """
     n = w.n
     core = _commutator_core(w, k)
     if len(core) != k:
         return None
-    p1_cols = complete_basis(core, n)
-    p1 = mat_from_columns(p1_cols)
-    p1_inv = p1.inverse()
+    p1, p1_inv = adapted_basis(core, n)
     quotient = [(p1_inv @ a @ p1).block(k, n, k, n) for a in w.basis]
     m = n - k
     nils = [q - Mat.identity(m) * (q.trace() / m) for q in quotient]
     strip = VectorSpan(m, [nil.col(j) for nil in nils for j in range(m)])
     l = strip.dim
     if l in valid_splits(n, k):
-        mid_cols = [Mat.column(r) for r in strip.rows]
-        p2 = mat_from_columns(complete_basis(mid_cols, m))
-        witness = (p1 @ block_diag(Mat.identity(k), p2)).inverse()
+        witness = block_diag(Mat.identity(k), adapted_basis(strip.rows, m)[1]) @ p1_inv
         if w.conjugate(witness) == extremal_space(n, k, l):
             return "generic", witness, l, (k, k + l)
     if m in (2, 3):
         hit = _match_exceptional(MatrixSubspace.span(quotient, m, m), seed)
         if hit is not None:
-            p2, tag = hit
-            witness = (p1 @ block_diag(Mat.identity(k), p2)).inverse()
+            p2_inv, tag = hit
+            witness = block_diag(Mat.identity(k), p2_inv) @ p1_inv
             if w.conjugate(witness) == exceptional_extremal_space(n, k, tag):
                 return "exceptional", witness, tag, (k,)
     return None
@@ -188,7 +187,7 @@ def _match_block_form(w, k, seed):
 
 def _commutator_core(w, k):
     """The core C, the smallest invariant subspace containing every
-    basis-pair commutator column, as column vectors in RREF order, when
+    basis-pair commutator column, as its RREF rows (lists), when
     dim C = k; otherwise some invariant subspace inside C that the caller
     will reject or fail to match.
 
@@ -216,10 +215,9 @@ def _commutator_core(w, k):
         grew = False
         for a in basis:
             for row in list(span.rows):
-                img = a @ Mat.column(row)
-                if span.add(img.data):
+                if span.add((a @ Mat.column(row)).data):
                     grew = True
-    return [Mat.column(r) for r in span.rows]
+    return span.rows
 
 
 # -- exceptional quotient matcher ------------------------------------------------
@@ -238,16 +236,17 @@ def _krylov(a, v):
 
 
 def _match_exceptional(qspace, seed):
-    """The candidate (P, tag) for qspace, or None when it cannot be similar
-    to a tagged exceptional commutative space.
+    """The candidate (P^{-1}, tag) for qspace, or None when it cannot be
+    similar to a tagged exceptional commutative space.
 
     The first nonderogatory member (basis first, then random combinations)
     decides: if qspace is similar to a tagged space, that member generates
     it, its eigenvalues are rational, and P = K_A K_G^{-1} carries the
     Jordan matrix G with the same eigenvalues onto it, where K_A and K_G are
-    Krylov bases of cyclic vectors (all-ones is cyclic for every such G).
-    That qspace.conjugate(P^{-1}) is the tagged space is not checked here:
-    it is the trailing block of the caller's exact test of the whole space.
+    Krylov bases of cyclic vectors (all-ones is cyclic for every such G);
+    P^{-1} = K_G K_A^{-1}.  That qspace.conjugate(P^{-1}) is the tagged
+    space is not checked here: it is the trailing block of the caller's
+    exact test of the whole space.
 
     The cyclic vector of A is sought among the unit vectors and the points
     (1, t, ..., t^{m-1}), t = 1 .. m(m-1), of the moment curve (t = 0 is the
@@ -279,7 +278,7 @@ def _match_exceptional(qspace, seed):
         for i in range(m - 1):
             if lams[i] == lams[i + 1]:
                 g = g + Mat.unit(m, i, i + 1)
-        return k_a @ _krylov(g, Mat.column([1] * m)).inverse(), tag
+        return _krylov(g, Mat.column([1] * m)) @ k_a.inverse(), tag
     return None
 
 

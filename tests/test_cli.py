@@ -209,7 +209,7 @@ def test_triangularize_inconsistent_directions_carry_the_reference_pair(tmp_path
     err = json.loads(capsys.readouterr().out)["results"]["error"]
     assert err["code"] == "INCONSISTENT"
     assert err["witness_commutator_rank"] == 1
-    comms = [commutator(*(Mat.from_rows(m) for m in err[key]))
+    comms = [commutator(*(Mat.from_rows([map(str_to_scalar, r) for r in m]) for m in err[key]))
              for key in ("witness_pair", "reference_pair")]
     assert all(c.rank() == 1 for c in comms)
     for a, b in (comms, [c.transpose() for c in comms]):  # columns, then rows

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlab import linalg
-from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, block_diag,
+from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
                           charpoly_discriminant, commutator, mat_from_columns,
                           random_matrix, rref_rows)
 from crlab.numberfield import NumberField
@@ -339,6 +339,67 @@ def test_inverse_and_det():
     assert m @ m.inverse() == Mat.identity(2)
     with pytest.raises(SingularMatrixError):
         E(2, 0, 1).inverse()
+    with pytest.raises(SingularMatrixError):
+        Mat.from_rows([[1, 2, 3], [4, 5, 6]]).inverse()  # not square
+    for dependent in ([[1, 2, 0], [2, 4, 0]], [[0, 0, 0]]):
+        with pytest.raises(SingularMatrixError):
+            adapted_basis(dependent, 3)
+
+
+def test_string_and_float_entries_are_refused():
+    for entries in (["0.5", "1e3"], ["1/2"], [0.5]):
+        with pytest.raises(TypeError):
+            Mat.from_rows([entries])
+    with pytest.raises(TypeError):
+        Mat.column(["1"])
+
+
+def _reference_completion(vectors, n):
+    """[v_1 ... v_k | e_i ...] by sympy: e_i joins exactly when it raises
+    the rank of the columns before it."""
+    cols = [sympy.Matrix(v) for v in vectors]
+    for i in range(n):
+        e = sympy.Matrix([int(j == i) for j in range(n)])
+        if sympy.Matrix.hstack(*cols, e).rank() > len(cols):
+            cols.append(e)
+    return sympy.Matrix.hstack(*cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_squares(5))
+def test_adapted_basis_agrees_with_sympy(rows):
+    # every k = 0..n; entries are zero half the time, so the completion varies
+    n = len(rows)
+    for k in range(n + 1):
+        vectors = rows[:k]
+        if k and _sympy_matrix(vectors).rank() < k:
+            with pytest.raises(SingularMatrixError):
+                adapted_basis(vectors, n)
+            continue
+        p, p_inv = adapted_basis(vectors, n)
+        ref = _reference_completion([[_q(x) for x in v] for v in vectors], n)
+        assert _sympy_matrix(p.row(i) for i in range(n)) == ref
+        assert _sympy_matrix(p_inv.row(i) for i in range(n)) == ref.inv()
+        assert p @ p_inv == Mat.identity(n)
+
+
+def test_adapted_basis_over_q_sqrt2():
+    k2 = NumberField([-2, 0, 1])
+    r, o, z = k2.theta(), k2.one(), k2.zero()
+    vectors = [[z, r, o, z], [z, o, r, z]]  # independent: r^2 - 1 = 1
+
+    def sym(x):
+        return sum(int(c.numerator) / sympy.Integer(int(c.denominator)) * sympy.sqrt(2) ** i
+                   for i, c in enumerate(reversed(x.to_list())))
+
+    p, p_inv = adapted_basis(vectors, 4)
+    ref = _reference_completion([[sym(x) for x in v] for v in vectors], 4)
+    assert sympy.Matrix(4, 4, [sym(x) for x in p.data]) == ref  # [v_1 v_2 e_1 e_4]
+    assert all(x.mod == r.mod for x in p.data + p_inv.data)
+    eye = k2.embed_matrix(Mat.identity(4))
+    assert p @ p_inv == eye and p_inv @ p == eye
+    with pytest.raises(SingularMatrixError):
+        adapted_basis(vectors + [[z, r + o, o + r, z]], 4)
 
 
 def test_block_diag():

@@ -4,10 +4,15 @@ import pytest
 from sympy.polys.polyerrors import NotInvertible, UnificationFailed
 
 from crlab.linalg import Mat
-from crlab.numberfield import (NumberField, adjoin_root, irreducible_factors,
-                               roots_in_field)
+from crlab.numberfield import NumberField, adjoin_root, irreducible_factors
 
 F = Fraction
+
+
+def _roots(coeffs, field=None):
+    """The roots in Q (``field=None``) or in the field: one per linear
+    factor x - r of irreducible_factors, in its order."""
+    return [-f[0] for f, _ in irreducible_factors(coeffs, field) if len(f) == 2]
 
 
 def _value(p, x, field):
@@ -41,13 +46,13 @@ def test_field_guards():
 
 
 def test_rational_roots():
-    # over Q, roots_in_field lists the rational roots in increasing order
+    # over Q, the linear factors list the rational roots in increasing order
     # (x - 2)(x + 3)
-    assert roots_in_field((F(-6), F(1), F(1))) == [F(-3), F(2)]
+    assert _roots((F(-6), F(1), F(1))) == [F(-3), F(2)]
     # x^2 + 1 has none
-    assert roots_in_field((F(1), F(0), F(1))) == []
+    assert _roots((F(1), F(0), F(1))) == []
     # (2x - 1)^2, listed once
-    assert roots_in_field((F(1), F(-4), F(4))) == [F(1, 2)]
+    assert _roots((F(1), F(-4), F(4))) == [F(1, 2)]
 
 
 def test_irreducible_factors():
@@ -70,25 +75,25 @@ def test_irreducible_factors_over_a_field():
 
 def test_roots_in_extension():
     K = NumberField([1, 0, 1])
-    roots = roots_in_field((F(1), F(0), F(1)), K)  # x^2 + 1 splits in Q(i)
+    roots = _roots((F(1), F(0), F(1)), K)  # x^2 + 1 splits in Q(i)
     assert len(roots) == 2
     i = K.theta()
     assert set(roots) == {i, -i}
 
     K2 = NumberField([-2, 0, 1])
-    roots = roots_in_field((F(-2), F(0), F(1)), K2)
+    roots = _roots((F(-2), F(0), F(1)), K2)
     assert len(roots) == 2 and all(r * r == K2.from_rational(2) for r in roots)
 
 
 def test_sqrt_in_field():
     # square roots in Q(sqrt 2) are the roots of x^2 - d over the field
     K = NumberField([-2, 0, 1])
-    roots = roots_in_field((F(-8), F(0), F(1)), K)
+    roots = _roots((F(-8), F(0), F(1)), K)
     assert len(roots) == 2 and all(s * s == K.from_rational(8) for s in roots)
-    assert roots_in_field((F(-3), F(0), F(1)), K) == []
+    assert _roots((F(-3), F(0), F(1)), K) == []
     # sqrt of a non-rational element: 3 + 2*sqrt(2) = (1 + sqrt(2))^2
     d = K.element((F(3), F(2)))
-    roots = roots_in_field((-d, K.zero(), K.one()), K)
+    roots = _roots((-d, K.zero(), K.one()), K)
     assert set(roots) == {K.one() + K.theta(), -K.one() - K.theta()}
 
 
@@ -96,7 +101,7 @@ def test_cubic_over_q_i_has_no_roots():
     # x^3 + 2 stays irreducible over Q(i): the root search is complete and
     # finds none (it used to stop at quadratic residuals)
     K = NumberField([1, 0, 1])
-    assert roots_in_field((F(2), F(0), F(0), F(1)), K) == []
+    assert _roots((F(2), F(0), F(0), F(1)), K) == []
     factors = irreducible_factors((F(2), F(0), F(0), F(1)), K)
     assert [(len(f) - 1, mult) for f, mult in factors] == [(3, 1)]
 
