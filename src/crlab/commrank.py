@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .linalg import Mat, _bareiss, _combine, _commutator_rows, _fractions
+from .linalg import Mat, _bareiss, _combine, _commutator_rows, _fractions, _sparse
 
 __all__ = [
     "CommutatorProfile",
@@ -96,13 +96,16 @@ def _scan(v, trials, seed, stop_above):
     the d coefficients of B; a pair is kept if its exact commutator rank beats
     every earlier one, and sampling stops once a rank exceeds ``stop_above``.
     The basis is scaled by the lcm of its denominators, which changes no
-    commutator rank, so pairs are combined, commuted and ranked over Python ints.
+    commutator rank, so pairs are combined, commuted and ranked over Python
+    ints; its rows are stripped to their nonzero entries once per scan, so
+    each combination walks only those (echelon bases are mostly zeros).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = v.n
     size = n * n
     scale, rows = v.integer_basis()
+    rows = _sparse(rows)
     rng = random.Random(seed)
     bound = ENTRY_BOUND
     best, a_best, b_best = -1, None, None

@@ -6,31 +6,47 @@ been adjoined; a tower of extensions is one field with a primitive element,
 so every matrix has one scalar type.  The kernels use only field arithmetic,
 truthiness and equality, so they import no sympy.  Matrices are immutable
 and hashable; every operation is a pure function, so concurrent use is safe.
+The one state a matrix fills in after it is built, its kept integer form and
+the entries of a product, is a pure function of the matrix, so two threads
+that fill it at once store equal values.
 
 Each kernel job has one implementation.  A rational matrix keeps its
 integer form (L, L * data), L the lcm of its denominators, from its first
 use on (:meth:`Mat.integer_form`).  Products and commutators run one loop
 (:func:`_product`, :func:`_commutator_rows`) over ints or number-field
 elements; two rational operands run on their kept forms, and the result is
-built with its own form, so a chain such as P^{-1} A P clears no matrix
-twice.  Rank and determinant over Q run Bareiss (1968) fraction-free
+born with its own form only: its ``data`` is filled from the form on first
+read, so a chain such as P^{-1} A P clears no matrix twice and builds no
+Fractions for the inner product.  The kernels that run on the kept form
+are products, commutators, rank and determinant, the characteristic
+polynomial, and the zero and upper-triangular tests (the form has the
+entries' zero pattern), so a triangularity check of P^{-1} A P builds no
+Fraction.  Rank and determinant over Q run Bareiss (1968) fraction-free
 elimination on the form, pivoting on the first nonzero entry of each
-column; det = sign * last pivot / L^n.  :func:`_combine` forms every
-integer combination of rows.  :func:`rref_rows` chooses its engine by
-scalar type alone: every rational row set is reduced by fraction-free
-Gauss–Jordan over ints, keeping each row primitive, and each pivot row is
-divided by its pivot at the end, which gives the unique RREF; only
-number-field rows take the field loop.  :class:`VectorSpan` tests rational
-vectors against its rows' integer forms.  A change of basis is one
-reduction: :func:`adapted_basis` reduces [v_1 ... v_k | I], whose pivot
-columns P are the v's and exactly the e_i that raise the rank of the
-columns before them; the row operations E turn P into I, so E, the
-right-hand block, is P^{-1} (:meth:`Mat.inverse` is k = n).
+column; det = sign * last pivot / L^n.  The characteristic polynomial is
+one Faddeev–LeVerrier loop, over the form's ints with exact division for Q
+and over the entries with field division for a number field.
+:func:`_combine` forms every integer combination of rows, each row given as
+its nonzero (index, value) pairs, since echelon bases are mostly zeros.
+:func:`rref_rows` chooses its engine by scalar type alone: every rational
+row set is reduced by fraction-free Gauss–Jordan over ints, keeping each
+row primitive, and each pivot row is divided by its pivot at the end, which
+gives the unique RREF; only number-field rows take the field loop.
+:class:`VectorSpan` tests rational vectors against its rows' integer forms.
+A change of basis is one reduction: :func:`adapted_basis` reduces
+[v_1 ... v_k | I], whose pivot columns P are the v's and exactly the e_i
+that raise the rank of the columns before them; the row operations E turn
+P into I, so E, the right-hand block, is P^{-1} (:meth:`Mat.inverse` is
+k = n).
 
 Median ``adj_wall_s`` over 10 alternating pairs of 20-s runs (2 shared
 vCPUs, Python 3.11.7): the fraction-free ``rref_rows`` took ``files`` from
 1.050 to 0.986 s and ``search`` from 0.0656 to 0.0573 s; the kept integer
-form took ``files`` from 0.968 to 0.817 s (10 of 10 pairs faster).
+form took ``files`` from 0.968 to 0.817 s (10 of 10 pairs faster).  Sparse
+rows in :func:`_combine`, the integer Faddeev–LeVerrier loop and product
+entries built on first read took ``files`` from 0.785 to 0.699 s at seed 0
+and from 0.793 to 0.695 s at seed 1 (10 alternating pairs of 10-s runs
+each, 10 of 10 faster), with ``search`` unchanged at 0.058 s.
 
 The two integer eliminations stay separate because each is faster at its
 own job (2 vCPUs, Python 3.11.7).  A primitive-row echelon for the
@@ -45,7 +61,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 
 __all__ = [
     "Mat",
@@ -80,7 +96,9 @@ _ONE = Fraction(1)
 
 
 class Mat:
-    """Immutable dense matrix, entries row-major in a flat tuple."""
+    """Immutable dense matrix, entries row-major in a flat tuple.  A rational
+    product or commutator is built from its kept form alone, and ``data`` is
+    filled from that form on first read."""
 
     __slots__ = ("rows", "cols", "data", "_ints")
 
@@ -91,6 +109,26 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _from_form(cls, rows, cols, scale, ints):
+        """The matrix ints / scale, given its kept form (L, [ints]) exactly."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "_ints", (scale, [ints]))
+        return mat
+
+    def __getattr__(self, name):
+        # reached only while the ``data`` slot of a _from_form matrix is
+        # empty; filling it twice stores equal tuples
+        if name != "data":
+            raise AttributeError(name)
+        scale, (ints,) = self._ints
+        data = tuple(_fractions(ints, scale))
+        object.__setattr__(self, "data", data)
+        return data
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -188,10 +226,20 @@ class Mat:
     def integer_form(self):
         """(L, [ints]) = ``_clear_denominators((data,))`` of a rational
         matrix, computed on first use and kept (never mutated); a product or
-        commutator is handed its form when it is built."""
-        if not hasattr(self, "_ints"):
+        commutator is born with its form."""
+        if self._ints is None:
             object.__setattr__(self, "_ints", _clear_denominators((self.data,)))
         return self._ints
+
+    def _is_rational(self):
+        """Are the scalars rational?  Read off the kept form when there is
+        one; an empty matrix counts as rational."""
+        return self._ints is not None or not self.data or isinstance(self.data[0], Fraction)
+
+    def _zero_pattern(self):
+        """The flat entries, or the kept form's ints, which are zero at the
+        same places and need no Fractions."""
+        return self.data if self._ints is None else self._ints[1][0]
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -213,13 +261,13 @@ class Mat:
         return acc
 
     def is_zero(self):
-        return not any(self.data)
+        return not any(self._zero_pattern())
 
     def is_upper_triangular(self):
         if not self.is_square:
             return False
-        n = self.rows
-        return not any(self.data[i * n + j] for i in range(1, n) for j in range(i))
+        n, entries = self.rows, self._zero_pattern()
+        return not any(entries[i * n + j] for i in range(1, n) for j in range(i))
 
     def is_scalar_matrix(self):
         if not self.is_square:
@@ -239,9 +287,9 @@ class Mat:
     # -- rank / kernel / determinant ----------------------------------------
 
     def rank(self):
-        if not self.data:
+        if not (self.rows and self.cols):
             return 0
-        if isinstance(self.data[0], Fraction):
+        if self._is_rational():
             return _bareiss(self._int_rows()[1])[0]
         return len(rref_rows([list(self.row(i)) for i in range(self.rows)]))
 
@@ -253,7 +301,7 @@ class Mat:
     def det(self):
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        if not isinstance(self.data[0], Fraction):
+        if not self._is_rational():
             raise ValueError("determinant is defined in rational mode only")
         scale, rows = self._int_rows()
         rank, sign = _bareiss(rows)
@@ -286,23 +334,36 @@ class Mat:
     def charpoly(self):
         """Characteristic polynomial det(xI − M), little-endian coefficients.
 
-        Faddeev–LeVerrier: the only divisions are by 1..n, which stay exact
-        over Q and over number fields.
+        Faddeev–LeVerrier on M = A / L, A the kept integer form:
+        M_1 = A, M_k = A (M_{k−1} + c_{k−1} I) and c_k = −tr(M_k) / k, with
+        c_k the coefficient of x^{n−k} in det(xI − A).  For an integer A every
+        M_k and c_k is an integer, so c_k = −(tr(M_k) // k) exactly (the
+        remainder is checked), and det(xI − M) has the coefficients c_k / L^k.
+        A number-field matrix runs the same loop on its entries with L = 1
+        and field division.
         """
         if not self.is_square:
             raise ValueError("square matrices only")
         n = self.rows
-        one = _one_like(self.data[0])
-        eye = Mat(n, n, tuple(one if i == j else _zero_like(one)
-                              for i in range(n) for j in range(n)))
-        coeffs = [one]          # leading coefficient, built down from x^n
-        Mk = self
-        c = -Mk.trace()
-        coeffs.append(c)
-        for k in range(2, n + 1):
-            Mk = self @ (Mk + eye * c)
-            c = -(Mk.trace() / k)
+        rational = self._is_rational()
+        if rational:
+            scale, (a,) = self.integer_form()
+            divide, c = _divide_exactly, 1
+        else:
+            a, divide = self.data, truediv
+            c = a[0] ** 0
+        coeffs = [c]            # leading coefficient, built down from x^n
+        mk = a
+        for k in range(1, n + 1):
+            if k > 1:
+                mk = list(mk)
+                for i in range(0, n * n, n + 1):
+                    mk[i] += c
+                mk = _product(a, mk, n, n, n)
+            c = -divide(sum(mk[::n + 1]), k)
             coeffs.append(c)
+        if rational:
+            coeffs = [Fraction(c, scale ** k) for k, c in enumerate(coeffs)]
         coeffs.reverse()
         return tuple(coeffs)
 
@@ -341,20 +402,28 @@ def _fractions(ints, d):
     return [Fraction(x, d) if x else _ZERO for x in ints]
 
 
+def _divide_exactly(x, k):
+    """x // k for ints that k divides."""
+    q, r = divmod(x, k)
+    if r:
+        raise ArithmeticError(f"{k} does not divide {x}")
+    return q
+
+
 def _exact(a, b, m, n, kernel):
     """The m-by-n matrix of the flat list kernel(x, y) on the entries of a
     and b.  Rational operands run on their integer forms (L_a, x), (L_b, y);
-    the result out / d, d = L_a L_b, keeps the form (d/g, [out/g]) with
-    g = gcd(d, *out), exactly its entries' cleared denominators."""
-    if not (isinstance(a.data[0], Fraction) and isinstance(b.data[0], Fraction)):
+    the result out / d, d = L_a L_b, is born with the form (d/g, [out/g]),
+    g = gcd(d, *out), exactly its entries' cleared denominators, and builds
+    its Fractions on first read."""
+    if not (a._is_rational() and b._is_rational()):
         return Mat(m, n, kernel(a.data, b.data))
     (la, (x,)), (lb, (y,)) = a.integer_form(), b.integer_form()
     out = kernel(x, y)
     g = math.gcd(la * lb, *out)
-    d, out = la * lb // g, [e // g for e in out]
-    mat = Mat(m, n, _fractions(out, d))
-    object.__setattr__(mat, "_ints", (d, [out]))
-    return mat
+    if g != 1:
+        out = [e // g for e in out]
+    return Mat._from_form(m, n, la * lb // g, out)
 
 
 def _product(a, b, m, k, n):
@@ -362,7 +431,7 @@ def _product(a, b, m, k, n):
     are ints or number-field elements, among which rationals may mix; a sum
     of ANPs started from the int 0 is an ANP."""
     cols = [b[j::n] for j in range(n)]
-    return [sum(map(mul, a[i:i + k], c)) for i in range(0, m * k, k) for c in cols]
+    return [sum(map(mul, a[i * k:(i + 1) * k], c)) for i in range(m) for c in cols]
 
 
 def _commutator_rows(a, b, n):
@@ -378,15 +447,21 @@ def _commutator_rows(a, b, n):
     return out
 
 
+def _sparse(rows):
+    """Each flat row as the list of its nonzero (index, value) pairs, the
+    form :func:`_combine` takes; strip a row set once, combine it often."""
+    return [[(i, x) for i, x in enumerate(row) if x] for row in rows]
+
+
 def _combine(rows, coeffs, size, zero=0):
-    """The integer combination sum(c * row) of flat rows of length ``size``,
-    skipping zero coefficients and zero entries; ``zero`` is the rows' zero."""
+    """The integer combination sum(c * row) as a flat list of length
+    ``size``, for rows given by :func:`_sparse`, skipping zero coefficients;
+    ``zero`` is the rows' zero."""
     acc = [zero] * size
     for c, row in zip(coeffs, rows):
         if c:
-            for i, x in enumerate(row):
-                if x:
-                    acc[i] += c * x
+            for i, x in row:
+                acc[i] += c * x
     return acc
 
 
@@ -622,7 +697,7 @@ def charpoly_discriminant(m):
     """Discriminant of the characteristic polynomial, computed by sympy;
     nonzero iff the matrix has n distinct complex eigenvalues.  Rational mode
     only."""
-    if not isinstance(m.data[0], Fraction):
+    if not m._is_rational():
         raise ValueError("discriminant is defined in rational mode only")
     from sympy import QQ
     from sympy.polys.euclidtools import dup_discriminant

@@ -10,7 +10,7 @@ and the square-only predicates guard themselves.
 from __future__ import annotations
 
 from .linalg import (Mat, VectorSpan, _clear_denominators, _combine, _fractions,
-                     mat_from_columns)
+                     _sparse, mat_from_columns)
 
 __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
@@ -101,7 +101,7 @@ class MatrixSubspace:
         ker = mat_from_columns([b.data for b in self.basis]
                                + [(-b).data for b in other.basis]).kernel_basis()
         # each member scaled to integers, which leaves their span as it is
-        _, rows = self.integer_basis()
+        rows = _sparse(self.integer_basis()[1])
         _, coeffs = _clear_denominators([k.data[:self.dim] for k in ker])
         size = self.rows * self.cols
         mats = [Mat(self.rows, self.cols, _fractions(_combine(rows, c, size), 1)) for c in coeffs]
@@ -123,19 +123,21 @@ class MatrixSubspace:
         Over the integer rows B_p = L b_p, a product P = B_i B_j lies in the
         space iff L P == sum_p P[pivot_p] B_p, because every canonical basis
         element is 1 at its own pivot and 0 at the others.  Row i of P is
-        the combination of the rows of B_j by row i of B_i; both steps skip
-        the zeros of the sparse echelon rows.
+        the combination of the rows of B_j by row i of B_i; both steps walk
+        only the nonzero entries of the sparse echelon rows.
         """
         if not self.is_square:
             raise ValueError("square spaces only")
         n = self.n
         scale, rows = self.integer_basis()
         pivots = self._span.pivots
+        sparse = _sparse(rows)
         for b in rows:
-            b_rows = [b[i:i + n] for i in range(0, n * n, n)]
+            b_rows = _sparse(b[i:i + n] for i in range(0, n * n, n))
             for a in rows:
                 prod = [x for i in range(0, n * n, n) for x in _combine(b_rows, a[i:i + n], n)]
-                if any(_combine((prod, *rows), (scale, *(-prod[p] for p in pivots)), n * n)):
+                coeffs = (scale, *(-prod[p] for p in pivots))
+                if any(_combine(_sparse([prod]) + sparse, coeffs, n * n)):
                     return False
         return True
 
@@ -146,7 +148,8 @@ class MatrixSubspace:
         scale, rows = self.integer_basis()
         coeffs = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         size = self.rows * self.cols
-        return Mat(self.rows, self.cols, _fractions(_combine(rows, coeffs, size), scale))
+        return Mat(self.rows, self.cols,
+                   _fractions(_combine(_sparse(rows), coeffs, size), scale))
 
     # -- comparison ---------------------------------------------------------------
 

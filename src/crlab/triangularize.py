@@ -42,8 +42,8 @@ import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .linalg import (Mat, VectorSpan, _combine, _zero_like, adapted_basis, block_diag,
-                     commutator)
+from .linalg import (Mat, VectorSpan, _combine, _sparse, _zero_like, adapted_basis,
+                     block_diag, commutator)
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
                           irreducible_factors)
 
@@ -162,12 +162,19 @@ def _eigenvalue_candidates(mats, rng):
     """Non-scalar members to probe for an eigenvalue, built as they are
     needed: basis order first, then a bounded number of random integer
     combinations.  The coefficients are drawn up front, so the generator's
-    state does not depend on how many candidates are used."""
+    state does not depend on how many candidates are used; the members are
+    stripped to their nonzero entries once, when the first combination is
+    needed."""
     draws = [[rng.randint(-4, 4) for _ in mats] for _ in range(_COMBO_ATTEMPTS)]
-    n, zero = mats[0].rows, _zero_like(mats[0].data[0])
-    combos = (Mat(n, n, _combine([m.data for m in mats], cs, n * n, zero))
-              for cs in draws if any(cs))
-    return (a for a in chain(mats, combos) if not a.is_scalar_matrix())
+
+    def combos():
+        n, zero = mats[0].rows, _zero_like(mats[0].data[0])
+        rows = _sparse(m.data for m in mats)
+        for cs in draws:
+            if any(cs):
+                yield Mat(n, n, _combine(rows, cs, n * n, zero))
+
+    return (a for a in chain(mats, combos()) if not a.is_scalar_matrix())
 
 
 def _find_singular_shift(mats, field, rng):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from crlab.commrank import (certify_rank_condition_symbolic,
                             max_commutator_rank, satisfies_rank_condition)
 from crlab.constructions import (extremal_space, lastrow_zero_space,
                                  schur_space)
+from crlab.invariant_spaces import InvariantSpaceSpec
 from crlab.linalg import Mat, commutator, random_matrix
 from crlab.subspace import full_space, span, zero_space
 
@@ -204,3 +206,83 @@ def test_rank_condition_read_off_a_profile_scan(monkeypatch):
         for verdict in (read, sampled):
             if verdict.certified_no:
                 assert commutator(*verdict.witness).rank() == verdict.witness_rank > k
+
+
+# -- the scan against a Fraction loop, draw for draw ------------------------------
+
+def _dense_combination(basis, coeffs, size):
+    acc = [Fraction(0)] * size
+    for c, b in zip(coeffs, basis):
+        for i, x in enumerate(b.data):
+            acc[i] += c * x
+    return acc
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination over Fractions."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_scan(basis, n, trials, seed, stop_above):
+    """(best rank, best pair, trials used): the same randint draws as the
+    scan, A and B as dense Fraction combinations of the canonical basis, and
+    rank [A, B] by the elimination above."""
+    rng = random.Random(seed)
+    bound = commrank.ENTRY_BOUND
+    best, pair = -1, None
+    for used in range(1, trials + 1):
+        ca = [rng.randint(-bound, bound) for _ in basis]
+        cb = [rng.randint(-bound, bound) for _ in basis]
+        a, b = (_dense_combination(basis, cs, n * n) for cs in (ca, cb))
+        comm = [[sum(a[i * n + t] * b[t * n + j] - b[i * n + t] * a[t * n + j]
+                     for t in range(n)) for j in range(n)] for i in range(n)]
+        r = _fraction_rank(comm)
+        if r > best:
+            best, pair = r, (Mat(n, n, a), Mat(n, n, b))
+            if r > stop_above:
+                break
+    return best, pair, used
+
+
+def test_scan_matches_a_fraction_loop_draw_for_draw():
+    rng = random.Random(53)
+    spaces = []
+    for n, k, l in ((4, 1, 1), (5, 2, 1), (6, 2, 2)):
+        q = random_matrix(n, n, 4, rng.randint(0, 10 ** 6))
+        while q.det() == 0:
+            q = random_matrix(n, n, 4, rng.randint(0, 10 ** 6))
+        spaces.append((extremal_space(n, k, l).conjugate(q), None))
+    spec = InvariantSpaceSpec(4, frozenset({(0, 1), (0, 3), (2, 3), (1, 2)}),
+                              ((0, 2), (1, 3)), frozenset({(2, 0)}))
+    spaces.append((spec, spec.realize().basis))
+    assert any(x.denominator > 1 for b in spaces[0][0].basis for x in b.data)
+    for v, basis in spaces:
+        basis = v.basis if basis is None else basis
+        for seed in range(3):
+            best, pair, _ = _reference_scan(basis, v.n, 6, seed, v.n - 1)
+            profile = max_commutator_rank(v, 6, seed)
+            assert profile.probable_max == best
+            assert profile.witness == pair
+    # a rank-condition scan that stops at the first pair above k
+    stopped = 0
+    for v, basis in spaces:
+        basis = v.basis if basis is None else basis
+        for k in range(v.n):
+            best, pair, used = _reference_scan(basis, v.n, 12, 7, k)
+            verdict = satisfies_rank_condition(v, k, 12, 7)
+            assert verdict.certified_no == (best > k)
+            if verdict.certified_no:
+                assert (verdict.witness, verdict.witness_rank) == (pair, best)
+                stopped += used < 12
+    assert stopped

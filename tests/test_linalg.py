@@ -70,6 +70,45 @@ def test_charpoly_known_matrix():
     assert m.charpoly() == (Fraction(-2), Fraction(-5), Fraction(1))
 
 
+def test_products_and_charpoly_with_an_empty_dimension():
+    assert Mat(1, 0, []) @ Mat(0, 1, []) == Mat.zero(1)
+    assert Mat(2, 0, []) @ Mat(0, 3, []) == Mat.zero(2, 3)
+    assert Mat(0, 2, []) @ Mat.zero(2, 3) == Mat(0, 3, [])
+    assert Mat(0, 0, []).charpoly() == (Fraction(1),)
+
+
+def _rational_square(n, rng):
+    """An n-by-n matrix with about one zero entry in three and denominators
+    up to 12."""
+    return Mat(n, n, [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                      if rng.random() > 0.3 else Fraction(0) for _ in range(n * n)])
+
+
+def test_charpoly_with_denominators_agrees_with_sympy():
+    rng = random.Random(71)
+    for n in range(1, 8):
+        for _ in range(5):
+            m = _rational_square(n, rng)
+            ref = _as_sympy(m).charpoly(sympy.Symbol("x")).all_coeffs()
+            assert [_q(c) for c in reversed(m.charpoly())] == ref
+
+
+_SQRT2 = NumberField([-2, 0, 1])
+
+
+def test_charpoly_over_q_equals_the_field_loop_in_q_sqrt2():
+    rng = random.Random(73)
+    for n in range(1, 7):
+        for _ in range(3):
+            m = _rational_square(n, rng)
+            ours = _SQRT2.embed_matrix(m).charpoly()
+            assert ours == tuple(_SQRT2.embed(c) for c in m.charpoly())
+            assert all(x.mod == _SQRT2.one().mod for x in ours)
+    # and on a matrix that is not rational: [[r, 1], [0, -r]], r^2 = 2
+    r, o, z = _SQRT2.theta(), _SQRT2.one(), _SQRT2.zero()
+    assert Mat(2, 2, [r, o, z, -r]).charpoly() == (-2 * o, z, o)
+
+
 def test_discriminant_rejects_prime_mode():
     m = NumberField([1, 0, 1]).embed_matrix(Mat.identity(2))  # over Q(i)
     with pytest.raises(ValueError):
@@ -229,6 +268,46 @@ def test_chained_rational_products_agree_with_sympy(case):
     assert _q(conj_a.det()) == ref_a.det()
     for m in (p, p_inv @ a, conj_a, conj_b, c, commutator(c, conj_a)):
         _assert_kept_form(m)
+
+
+def _fraction_product(x, y):
+    return [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in zip(*y)] for r in x]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[_matrices(n, n)] * 3)))
+def test_a_product_read_late_equals_one_built_eagerly(case):
+    a_rows, b_rows, c_rows = case
+    a, b, c = map(Mat.from_rows, case)
+    ab = _fraction_product(a_rows, b_rows)
+    ab_c, c_ab = _fraction_product(ab, c_rows), _fraction_product(c_rows, ab)
+    comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ab_c, c_ab)]
+    for lazy, rows in ((a @ b, ab), (a @ b @ c, ab_c), (commutator(a @ b, c), comm)):
+        with pytest.raises(AttributeError):
+            Mat.data.__get__(lazy)  # born with its kept form only
+        eager = Mat.from_rows(rows)
+        assert lazy.integer_form() == eager.integer_form()
+        assert lazy.rank() == eager.rank()
+        assert hash(lazy) == hash(eager)
+        assert lazy == eager and lazy.data == eager.data
+
+
+@settings(max_examples=80, deadline=None)
+@given(_squares(5), st.booleans())
+def test_zero_and_triangular_tests_agree_on_the_kept_form(rows, lower_zero):
+    if lower_zero:
+        rows = [[x if j >= i else Fraction(0) for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    n = len(rows)
+    formed = Mat.from_rows(rows)
+    formed.integer_form()
+    unit = Mat.identity(n)
+    for m in (formed, unit @ formed, Mat.zero(n) @ formed):
+        plain = Mat(n, n, m.data)  # no kept form: the tests read the entries
+        assert plain._ints is None
+        assert m.is_zero() == plain.is_zero() == (not any(m.data))
+        assert m.is_upper_triangular() == plain.is_upper_triangular()
+    assert formed.is_upper_triangular() or not lower_zero
 
 
 _CBRT2 = NumberField([-2, 0, 0, 1])
