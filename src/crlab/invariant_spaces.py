@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .commrank import dimension_bound, satisfies_rank_condition
-from .linalg import Mat, VectorSpan, _clear_denominators
+from .linalg import Mat, VectorSpan, _clear_denominators, commutator
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -252,7 +252,7 @@ def is_triangular_invariant(v):
         for j in range(i + 1, n):
             e = Mat.unit(n, i, j)
             for a in v.basis:
-                if not v.contains(a @ e - e @ a):
+                if not v.contains(commutator(a, e)):
                     return False
                 if a[j, i] and not v.contains(e):
                     return False

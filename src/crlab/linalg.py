@@ -32,7 +32,8 @@ its nonzero (index, value) pairs, since echelon bases are mostly zeros.
 row set is reduced by fraction-free Gauss–Jordan over ints, keeping each
 row primitive, and each pivot row is divided by its pivot at the end, which
 gives the unique RREF; only number-field rows take the field loop.
-:class:`VectorSpan` tests rational vectors against its rows' integer forms.
+:class:`VectorSpan` has one membership rule, the RREF pivot identity, run
+on the span's integer form over Q and on its rows over a number field.
 A change of basis is one reduction: :func:`adapted_basis` reduces
 [v_1 ... v_k | I], whose pivot columns P are the v's and exactly the e_i
 that raise the rank of the columns before them; the row operations E turn
@@ -236,9 +237,9 @@ class Mat:
         one; an empty matrix counts as rational."""
         return self._ints is not None or not self.data or isinstance(self.data[0], Fraction)
 
-    def _zero_pattern(self):
-        """The flat entries, or the kept form's ints, which are zero at the
-        same places and need no Fractions."""
+    def _scaled_data(self):
+        """The flat entries, or the kept form's ints: L times the entries, so
+        zero at the same places and on the same line, with no Fractions."""
         return self.data if self._ints is None else self._ints[1][0]
 
     def __matmul__(self, other):
@@ -255,18 +256,16 @@ class Mat:
     def trace(self):
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
-        acc = self.data[0]
-        for i in range(1, self.rows):
-            acc = acc + self.data[i * self.cols + i]
-        return acc
+        diag = self.data[::self.cols + 1]
+        return sum(diag[1:], diag[0]) if diag else _ZERO
 
     def is_zero(self):
-        return not any(self._zero_pattern())
+        return not any(self._scaled_data())
 
     def is_upper_triangular(self):
         if not self.is_square:
             return False
-        n, entries = self.rows, self._zero_pattern()
+        n, entries = self.rows, self._scaled_data()
         return not any(entries[i * n + j] for i in range(1, n) for j in range(i))
 
     def is_scalar_matrix(self):
@@ -303,6 +302,8 @@ class Mat:
             raise ValueError("determinant needs a square matrix")
         if not self._is_rational():
             raise ValueError("determinant is defined in rational mode only")
+        if not self.rows:
+            return _ONE
         scale, rows = self._int_rows()
         rank, sign = _bareiss(rows)
         return Fraction(sign * rows[-1][-1] if rank == self.rows else 0, scale ** self.rows)
@@ -600,52 +601,57 @@ def commutator(a, b):
 
 class VectorSpan:
     """The span of vectors over an exact field, kept as the RREF rows of
-    :func:`rref_rows` with their pivot columns; supports membership tests and
-    dimension counting.  Over Q a vector is tested fraction-free against the
-    rows' integer forms, cleared once per echelon."""
+    :func:`rref_rows` and their pivot columns; a vector is a sequence or a
+    :class:`Mat`, read row-major."""
 
-    __slots__ = ("length", "rows", "pivots", "_ints")
+    __slots__ = ("length", "rows", "pivots", "_form", "_terms")
 
     def __init__(self, length, vectors=()):
         self.length = length
         self.rows = [list(v) for v in vectors]
         self.pivots = rref_rows(self.rows)
         del self.rows[len(self.pivots):]
-        self._ints = None
+        self._form = self._terms = None
 
     @property
     def dim(self):
         return len(self.rows)
 
+    def integer_form(self):
+        """(L, rows) of a rational span: rows[p] is L times RREF row p as a
+        tuple of ints, L the lcm of their denominators; kept until add."""
+        if self._form is None:
+            scale, rows = _clear_denominators(self.rows)
+            self._form = scale, tuple(map(tuple, rows))
+        return self._form
+
     def contains(self, vec):
-        """Is vec in the span?  Each echelon row clears the residual at its
-        pivot p; over Q the row's integer form (L, R) has R[p] = L, and the
-        residual, kept as ints, becomes (L v − v[p] R) / gcd(L, v[p])."""
-        if not vec or not isinstance(vec[0], Fraction):
-            for row, p in zip(self.rows, self.pivots):
-                f = vec[p]
-                if f:
-                    vec = [a - f * b for a, b in zip(vec, row)]
-            return not any(vec)
-        if self._ints is None:
-            self._ints = [_clear_denominators((r,)) for r in self.rows]
-        v = _clear_denominators((vec,))[1][0]
-        for (scale, (row,)), p in zip(self._ints, self.pivots):
-            f = v[p]
-            if f:
-                g = math.gcd(scale, f)
-                s, f = scale // g, f // g
-                v = [s * a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        """Is vec in the span?  Row p of the RREF is 1 at its own pivot and 0
+        at every other pivot, so v is in the span iff v = sum_p v[p] row_p:
+        one :func:`_combine` over the rows' nonzero entries, built when first
+        needed.  Over Q it runs on the integer form (L, R_p = L row_p) as
+        L V == sum_p V[p] R_p, V the vector cleared of denominators (ints as
+        they are, a Mat by its kept form); over a number field, R_p = row_p."""
+        if isinstance(vec, Mat):
+            vec = vec._scaled_data()
+        if vec and isinstance(vec[0], Fraction):
+            vec = _clear_denominators((vec,))[1][0]
+        if self._terms is None:
+            rational = not self.rows or isinstance(self.rows[0][0], Fraction)
+            scale, rows = self.integer_form() if rational else (1, self.rows)
+            self._terms = scale, _sparse(rows)
+        scale, terms = self._terms
+        coeffs = (-scale, *(vec[p] for p in self.pivots))
+        return not any(_combine(_sparse((vec,)) + terms, coeffs, self.length))
 
     def add(self, vec):
         """Insert a vector; returns True when it enlarged the span.  The RREF
         of a span is unique, so the vector itself joins the rows."""
         if self.contains(vec):
             return False
-        self.rows.append(list(vec))
+        self.rows.append(list(vec.data if isinstance(vec, Mat) else vec))
         self.pivots = rref_rows(self.rows)
-        self._ints = None
+        self._form = self._terms = None
         return True
 
 

@@ -16,7 +16,7 @@ __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
 
 class MatrixSubspace:
-    __slots__ = ("rows", "cols", "basis", "_span", "_integer_basis")
+    __slots__ = ("rows", "cols", "basis", "_span")
 
     def __init__(self, rows, cols, vspan, _canonical=False):
         if not _canonical:
@@ -61,17 +61,14 @@ class MatrixSubspace:
 
     def integer_basis(self):
         """(L, rows): L is the lcm of the basis denominators and rows[p] is
-        L times the p-th canonical basis element as a flat tuple of ints.
-        Computed on first use and kept, since the space never changes."""
-        if not hasattr(self, "_integer_basis"):
-            scale, rows = _clear_denominators([b.data for b in self.basis])
-            object.__setattr__(self, "_integer_basis", (scale, tuple(map(tuple, rows))))
-        return self._integer_basis
+        L times the p-th canonical basis element as a flat tuple of ints; the
+        integer form of the space's span, kept since the space never changes."""
+        return self._span.integer_form()
 
     def contains(self, m):
         if m.rows != self.rows or m.cols != self.cols:
             raise ValueError("ambient mismatch")
-        return self._span.contains(m.data)
+        return self._span.contains(m)
 
     def __contains__(self, m):
         return self.contains(m)
@@ -120,24 +117,20 @@ class MatrixSubspace:
     def is_algebra(self):
         """Closed under products?  Checking basis pairs suffices by bilinearity.
 
-        Over the integer rows B_p = L b_p, a product P = B_i B_j lies in the
-        space iff L P == sum_p P[pivot_p] B_p, because every canonical basis
-        element is 1 at its own pivot and 0 at the others.  Row i of P is
-        the combination of the rows of B_j by row i of B_i; both steps walk
-        only the nonzero entries of the sparse echelon rows.
+        Each product B_i B_j of the integer rows B_p = L b_p is formed in
+        ints, row i of it the combination of the rows of B_j by row i of B_i,
+        walking only the nonzero entries of the sparse echelon rows, and is
+        then asked of the span as an integer vector.
         """
         if not self.is_square:
             raise ValueError("square spaces only")
         n = self.n
-        scale, rows = self.integer_basis()
-        pivots = self._span.pivots
-        sparse = _sparse(rows)
+        rows = self.integer_basis()[1]
         for b in rows:
             b_rows = _sparse(b[i:i + n] for i in range(0, n * n, n))
             for a in rows:
                 prod = [x for i in range(0, n * n, n) for x in _combine(b_rows, a[i:i + n], n)]
-                coeffs = (scale, *(-prod[p] for p in pivots))
-                if any(_combine(_sparse([prod]) + sparse, coeffs, n * n)):
+                if not self._span.contains(prod):
                     return False
         return True
 

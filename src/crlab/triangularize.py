@@ -217,7 +217,7 @@ def _is_invariant(mats, vectors):
     span = VectorSpan(vectors[0].rows, [u.data for u in vectors])
     for a in mats:
         for u in vectors:
-            if not span.contains((a @ u).data):
+            if not span.contains(a @ u):
                 return a, u
     return None
 

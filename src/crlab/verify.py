@@ -215,7 +215,7 @@ def _commutator_core(w, k):
         grew = False
         for a in basis:
             for row in list(span.rows):
-                if span.add((a @ Mat.column(row)).data):
+                if span.add(a @ Mat.column(row)):
                     grew = True
     return span.rows
 

@@ -75,6 +75,8 @@ def test_products_and_charpoly_with_an_empty_dimension():
     assert Mat(2, 0, []) @ Mat(0, 3, []) == Mat.zero(2, 3)
     assert Mat(0, 2, []) @ Mat.zero(2, 3) == Mat(0, 3, [])
     assert Mat(0, 0, []).charpoly() == (Fraction(1),)
+    assert Mat(0, 0, []).det() == Fraction(1)
+    assert Mat(0, 0, []).trace() == Fraction(0)
 
 
 def _rational_square(n, rng):
@@ -535,19 +537,26 @@ def _rank(vectors):
     return Mat.from_rows(real).rank() // 2
 
 
+def _as_mats(v):
+    """v as a 1-by-n and as an n-by-1 Mat, the shapes VectorSpan reads row-major."""
+    return Mat(1, len(v), v), Mat(len(v), 1, v)
+
+
 def _check_span_engine(vectors, probes):
     # a duplicate and a combination make some additions dependent
     vectors = vectors + [vectors[0], [a + 3 * b for a, b in zip(vectors[0], vectors[-1])]]
-    span = VectorSpan(len(vectors[0]))
-    grew = [span.add(v) for v in vectors]
     work = [list(v) for v in vectors]
     pivots = rref_rows(work)
-    assert span.pivots == pivots
-    assert span.rows == work[:len(pivots)]
-    assert grew == [_rank(vectors[:i + 1]) > _rank(vectors[:i])
-                    for i in range(len(vectors))]
-    for w in vectors + probes:
-        assert span.contains(w) == (_rank(vectors + [w]) == len(pivots))
+    grew = [_rank(vectors[:i + 1]) > _rank(vectors[:i]) for i in range(len(vectors))]
+    inside = [_rank(vectors + [w]) == len(pivots) for w in vectors + probes]
+    # the same span grown from lists, from rows and from columns, each from empty
+    for shape in (list, lambda v: _as_mats(v)[0], lambda v: _as_mats(v)[1]):
+        span = VectorSpan(len(vectors[0]))
+        assert [span.add(shape(v)) for v in vectors] == grew
+        assert span.pivots == pivots
+        assert span.rows == work[:len(pivots)]
+        for w, want in zip(vectors + probes, inside):
+            assert [span.contains(x) for x in (w, *_as_mats(w))] == [want] * 3
 
 
 def _span_cases(entry, max_len):
@@ -578,11 +587,14 @@ def test_span_contains_and_add_agree_with_sympy_rank(case):
     def rank(vs):
         return _sympy_matrix(vs).rank() if vs else 0
 
-    span = VectorSpan(len(vectors[0]))
-    for i, v in enumerate(vectors):
-        inside = rank(vectors[:i + 1]) == rank(vectors[:i])
-        assert span.contains(v) == inside
-        assert span.add(v) == (not inside)
-        assert span.dim == rank(vectors[:i + 1])
-    for w in probes:
-        assert span.contains(w) == (rank(vectors + [w]) == span.dim)
+    ranks = [rank(vectors[:i]) for i in range(len(vectors) + 1)]
+    inside = [rank(vectors + [w]) == ranks[-1] for w in probes]
+    # grown from lists, from rows and from columns: the first add is to an empty span
+    for as_vector in (list, lambda v: _as_mats(v)[0], lambda v: _as_mats(v)[1]):
+        span = VectorSpan(len(vectors[0]))
+        for v, before, after in zip(vectors, ranks, ranks[1:]):
+            assert [span.contains(x) for x in (v, *_as_mats(v))] == [after == before] * 3
+            assert span.add(as_vector(v)) == (after > before)
+            assert span.dim == after
+        for w, want in zip(probes, inside):
+            assert [span.contains(x) for x in (w, *_as_mats(w))] == [want] * 3

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crlab.linalg import Mat, SingularMatrixError, random_matrix
+from crlab.linalg import Mat, SingularMatrixError, _clear_denominators, random_matrix
 from crlab.subspace import full_space, span, zero_space
 from crlab.constructions import extremal_space, flanders_space, schur_space, valid_splits
 
@@ -80,6 +80,16 @@ def test_random_element_matches_a_fraction_loop_draw_for_draw():
             for bound in (1, 9, 10 ** 6):
                 assert v.random_element(ours, bound) == _reference_random_element(v, ref, bound)
             assert ours.random() == ref.random()  # the generators stay in step
+
+
+def test_integer_basis_is_the_cleared_basis():
+    q = Mat.from_rows([[2, 1, 0, 0], [1, 1, 3, 0], [0, 0, 5, 1], [1, 0, 0, 7]])
+    v = extremal_space(4, 1, 1).conjugate(q)
+    scale, rows = _clear_denominators([b.data for b in v.basis])
+    assert scale > 1  # the conjugated basis has denominators
+    assert v.integer_basis() == (scale, tuple(map(tuple, rows)))
+    assert all(v.contains(b) for b in v.basis)  # membership reads that same form
+    assert v.integer_basis() == (scale, tuple(map(tuple, rows)))
 
 
 def test_transpose_space():
