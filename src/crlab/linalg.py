@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 from operator import mul, truediv
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "SingularMatrixError",
     "commutator",
     "charpoly_discriminant",
+    "probe_members",
     "random_matrix",
     "rref_rows",
     "mat_from_columns",
@@ -271,17 +273,9 @@ class Mat:
     def is_scalar_matrix(self):
         if not self.is_square:
             return False
-        n = self.rows
-        d = self.data[0]
-        for i in range(n):
-            for j in range(n):
-                x = self.data[i * n + j]
-                if i == j:
-                    if x != d:
-                        return False
-                elif x:
-                    return False
-        return True
+        step, entries = self.rows + 1, self._scaled_data()
+        return all(x == entries[0] if i % step == 0 else not x
+                   for i, x in enumerate(entries))
 
     # -- rank / kernel / determinant ----------------------------------------
 
@@ -441,8 +435,8 @@ def _commutator_rows(a, b, n):
     cols_a = [a[j::n] for j in range(n)]
     cols_b = [b[j::n] for j in range(n)]
     out = []
-    for i in range(0, n * n, n):
-        ra, rb = a[i:i + n], b[i:i + n]
+    for i in range(n):
+        ra, rb = a[i * n:(i + 1) * n], b[i * n:(i + 1) * n]
         out.append([sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
                     for ca, cb in zip(cols_a, cols_b)])
     return out
@@ -665,6 +659,8 @@ def mat_from_columns(columns):
             cols.append(c.data)
         else:
             cols.append(tuple(as_scalar(x) for x in c))
+    if not cols:
+        raise ValueError("mat_from_columns needs at least one column")
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("ragged columns")
@@ -691,8 +687,8 @@ def adapted_basis(vectors, n):
 
 def block_diag(a, b):
     """The square matrix with square blocks a and b on its diagonal; the
-    zero blocks take their zero from b's field."""
-    zero = _zero_like(b.data[0])
+    zero blocks take their zero from b's field (an empty b leaves none)."""
+    zero = _zero_like(b.data[0]) if b.data else _ZERO
     rows = [list(a.row(i)) + [zero] * b.cols for i in range(a.rows)]
     rows += [[zero] * a.cols + list(b.row(i)) for i in range(b.rows)]
     n = a.rows + b.rows
@@ -709,6 +705,28 @@ def charpoly_discriminant(m):
     from sympy.polys.euclidtools import dup_discriminant
     d = dup_discriminant([QQ(c.numerator, c.denominator) for c in reversed(m.charpoly())], QQ)
     return Fraction(int(d.numerator), int(d.denominator))
+
+
+def probe_members(mats, rng, bound, count):
+    """The members of span(mats) that a sampled check probes: each of
+    ``mats``, then ``count`` integer combinations with coefficients uniform
+    in [-bound, bound], an all-zero draw skipped.
+
+    Every coefficient is drawn from rng by this call, before the first
+    member is returned, so rng's state afterwards does not depend on how
+    many members the caller uses.  The members are stripped to their
+    nonzero entries only when the first combination is needed.
+    """
+    draws = [cs for cs in ([rng.randint(-bound, bound) for _ in mats] for _ in range(count))
+             if any(cs)]
+
+    def combos():
+        rows, cols = mats[0].rows, mats[0].cols
+        terms, zero = _sparse(m.data for m in mats), _zero_like(mats[0].data[0])
+        for cs in draws:
+            yield Mat(rows, cols, _combine(terms, cs, rows * cols, zero))
+
+    return chain(mats, combos() if draws else ())
 
 
 def random_matrix(rows, cols, entry_bound, seed):

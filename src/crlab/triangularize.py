@@ -1,9 +1,10 @@
 """Constructive simultaneous triangularization for spaces whose commutators
 all have rank at most one.
 
-The classification step factors each nonzero basis-pair commutator as an
-outer product u v^T and checks by 2x2 minors whether all share the first
-one's column direction (LEFT) or its row direction (RIGHT); a space whose
+The classification step gathers one nonzero column and one nonzero row of
+each nonzero basis-pair commutator into two spans: the commutators share a
+column direction (LEFT) while the column span is a line, and a row
+direction (RIGHT) while the row span is; a space whose
 basis-pair commutators all lie in {x0 y^T : y} has ALL its commutators there
 (the set is a linear space and commutators depend bilinearly on the
 arguments), so a successful classification certifies the hypothesis for
@@ -40,10 +41,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
-from .linalg import (Mat, VectorSpan, _combine, _sparse, _zero_like, adapted_basis,
-                     block_diag, commutator)
+from .linalg import Mat, VectorSpan, adapted_basis, block_diag, commutator, probe_members
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
                           irreducible_factors)
 
@@ -88,7 +88,7 @@ class InvariantFailureError(ValueError):
 @dataclass(frozen=True)
 class RankOneFamily:
     side: str  # "LEFT" | "RIGHT" | "ZERO"
-    x0: Mat | None  # shared direction (column vector), None for ZERO
+    x0: Mat | None  # shared direction (column vector, leading 1), None for ZERO
 
 
 @dataclass(frozen=True)
@@ -96,29 +96,6 @@ class TriangularizationResult:
     P: Mat
     chain_dims: tuple
     field: NumberField | None  # None while the change of basis is rational
-
-
-def _factor_rank_one(c):
-    """Write a rank-one matrix as (u, v) with c = u v^T."""
-    jc = next(j for j in range(c.cols) if any(c[i, j] for i in range(c.rows)))
-    u = c.col(jc)
-    r = next(i for i in range(c.rows) if u[i])
-    v = tuple(c[r, j] / u[r] for j in range(c.cols))
-    return u, v
-
-
-def _parallel(x, y):
-    """Are two nonzero vectors parallel (every 2x2 minor of [x y] zero)?"""
-    return all(x[i] * y[j] == x[j] * y[i] for i, j in combinations(range(len(x)), 2))
-
-
-def _nonzero_commutators(basis):
-    """((A, B), [A, B]) for every basis pair with a nonzero commutator, in
-    combinations order, computed as they are needed."""
-    for a, b in combinations(basis, 2):
-        c = commutator(a, b)
-        if not c.is_zero():
-            yield (a, b), c
 
 
 def classify_rank_one_family(v):
@@ -129,25 +106,29 @@ def classify_rank_one_family(v):
     the rank-one hypothesis is false for the whole space).
     """
     nonzero = []
-    for pair, c in _nonzero_commutators(v.basis):
+    for pair in combinations(v.basis, 2):
+        c = commutator(*pair)
+        if c.is_zero():
+            continue
         if c.rank() > 1:
             raise InconsistentFamilyError("basis pair commutator has rank >= 2", pair, c)
         nonzero.append((pair, c))
     if not nonzero:
         return RankOneFamily("ZERO", None)
-    u0, v0 = _factor_rank_one(nonzero[0][1])
-    left_ok = right_ok = True
-    for pair, c in nonzero[1:]:
-        u, w = _factor_rank_one(c)
-        left_ok = left_ok and _parallel(u, u0)
-        right_ok = right_ok and _parallel(w, v0)
-        if not (left_ok or right_ok):
+    n = v.n
+    cols, rows = VectorSpan(n), VectorSpan(n)
+    for pair, c in nonzero:  # a span past dimension 1 stays past it: stop growing it
+        if cols.dim < 2:
+            cols.add(next(u for u in map(c.col, range(n)) if any(u)))
+        if rows.dim < 2:
+            rows.add(next(w for w in map(c.row, range(n)) if any(w)))
+        if cols.dim > 1 and rows.dim > 1:
             raise InconsistentFamilyError(
                 "nonzero commutators share no common direction",
                 pair, c, reference_pair=nonzero[0][0])
-    if left_ok:  # tie-break LEFT when a single commutator factors both ways
-        return RankOneFamily("LEFT", Mat.column(u0))
-    return RankOneFamily("RIGHT", Mat.column(v0))
+    if cols.dim == 1:  # tie-break LEFT when a single commutator factors both ways
+        return RankOneFamily("LEFT", Mat.column(cols.rows[0]))
+    return RankOneFamily("RIGHT", Mat.column(rows.rows[0]))
 
 
 # -- recursion machinery --------------------------------------------------------
@@ -158,28 +139,10 @@ def _lift(m, field):
     return m if field is None else field.embed_matrix(m)
 
 
-def _eigenvalue_candidates(mats, rng):
-    """Non-scalar members to probe for an eigenvalue, built as they are
-    needed: basis order first, then a bounded number of random integer
-    combinations.  The coefficients are drawn up front, so the generator's
-    state does not depend on how many candidates are used; the members are
-    stripped to their nonzero entries once, when the first combination is
-    needed."""
-    draws = [[rng.randint(-4, 4) for _ in mats] for _ in range(_COMBO_ATTEMPTS)]
-
-    def combos():
-        n, zero = mats[0].rows, _zero_like(mats[0].data[0])
-        rows = _sparse(m.data for m in mats)
-        for cs in draws:
-            if any(cs):
-                yield Mat(n, n, _combine(rows, cs, n * n, zero))
-
-    return (a for a in chain(mats, combos()) if not a.is_scalar_matrix())
-
-
 def _find_singular_shift(mats, field, rng):
     """(B0, field, lifted mats): B0 = A - lambda*I singular and nonzero.
 
+    The candidates are the non-scalar members of :func:`probe_members`.
     Stays in the current field when some candidate has an eigenvalue there;
     otherwise adjoins a root of an irreducible factor of least degree over
     the field, unless that would take the degree over Q past
@@ -187,7 +150,9 @@ def _find_singular_shift(mats, field, rng):
     """
     eye = _lift(Mat.identity(mats[0].rows), field)
     smallest = None
-    for a in _eigenvalue_candidates(mats, rng):
+    for a in probe_members(mats, rng, 4, _COMBO_ATTEMPTS):
+        if a.is_scalar_matrix():
+            continue
         g = irreducible_factors(a.charpoly(), field)[0][0]  # of least degree
         if len(g) == 2:  # g = x - lambda
             return a + eye * g[0], field, mats

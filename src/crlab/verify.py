@@ -29,7 +29,7 @@ from itertools import combinations
 from .commrank import check_dimension_bound
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
 from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, charpoly_discriminant,
-                     commutator, mat_from_columns)
+                     commutator, mat_from_columns, probe_members)
 from .numberfield import irreducible_factors
 from .subspace import MatrixSubspace
 
@@ -93,26 +93,15 @@ def find_distinct_eigenvalue_element(v, trials, seed):
     entries is its own witness); the ``trials`` budget then counts random
     integer combinations.  Absence of a witness is never proven.
     """
-    for b in v.basis:
-        if charpoly_discriminant(b):
-            return b
-    rng = random.Random(seed)
-    for _ in range(trials):
-        m = v.random_element(rng, _PROBE_BOUND)
-        if charpoly_discriminant(m):
-            return m
-    return None
+    probes = probe_members(v.basis, random.Random(seed), _PROBE_BOUND, trials)
+    return next((m for m in probes if charpoly_discriminant(m)), None)
 
 
 def flanders_check(v, trials, seed):
     """Estimate the maximal member rank k̂ of a (possibly rectangular) space
     and compare dim against the rank-bounded-space bound k̂ * max(rows, cols)."""
-    rng = random.Random(seed)
-    k_hat = 0
-    for b in v.basis:
-        k_hat = max(k_hat, b.rank())
-    for _ in range(trials):
-        k_hat = max(k_hat, v.random_element(rng, _PROBE_BOUND).rank())
+    probes = probe_members(v.basis, random.Random(seed), _PROBE_BOUND, trials)
+    k_hat = max((m.rank() for m in probes), default=0)
     bound = k_hat * max(v.rows, v.cols)
     return FlandersReport(k_hat=k_hat, dim=v.dim, bound=bound,
                           passed=v.dim <= bound, slack=bound - v.dim,
@@ -135,31 +124,24 @@ def _recognize(v, report, seed):
                                 detail=f"dim {v.dim} vs bound {report.bound} at sampled rank {k}")
     for transposed in (False, True):
         w = v.transpose_space() if transposed else v  # built only when v fails
-        hit = _match_block_form(w, k, seed)
-        if hit is None:
-            continue
-        kind, p, l_or_tag, chain = hit
-        if kind == "generic":
-            status = "MATCHES_VK_TRANSPOSE" if transposed else "MATCHES_VK"
-            return StructureVerdict(status, k_hat=k, l=l_or_tag, chain_dims=chain,
-                                    witness_basis=p, transposed=transposed)
-        return StructureVerdict("EXCEPTIONAL", k_hat=k, tag=l_or_tag,
-                                chain_dims=chain, witness_basis=p,
-                                transposed=transposed)
+        verdict = _match_block_form(w, k, seed, transposed)
+        if verdict is not None:
+            return verdict
     return StructureVerdict("NO_MATCH", k_hat=k,
                             detail="equality dimension but no recovered similarity; "
                                    "reported as-is, never decided by fiat")
 
 
-def _match_block_form(w, k, seed):
-    """Recover a similarity onto the canonical space, if one exists.
+def _match_block_form(w, k, seed, transposed):
+    """The matched verdict of w (``MATCHES_VK``, ``MATCHES_VK_TRANSPOSE``
+    when w is the transposed space, or ``EXCEPTIONAL``), or None when no
+    similarity onto a canonical space is recovered.
 
-    Returns ("generic", Q, l, chain) or ("exceptional", Q, tag, chain), with
-    w.conjugate(Q) exactly equal to the canonical construction; None when
-    recovery fails.  P1 = [core | e_i ...] and the strip completion P2 each
-    come with their inverses from one :func:`adapted_basis` reduction, so the
-    witness Q = diag(I_k, P2^{-1}) P1^{-1} is a product; the conjugation
-    test inverts Q on its own.
+    The verdict's witness Q has w.conjugate(Q) exactly equal to the
+    canonical construction.  P1 = [core | e_i ...] and the strip completion
+    P2 each come with their inverses from one :func:`adapted_basis`
+    reduction, so Q = diag(I_k, P2^{-1}) P1^{-1} is a product; the
+    conjugation test inverts Q on its own.
     """
     n = w.n
     core = _commutator_core(w, k)
@@ -174,14 +156,17 @@ def _match_block_form(w, k, seed):
     if l in valid_splits(n, k):
         witness = block_diag(Mat.identity(k), adapted_basis(strip.rows, m)[1]) @ p1_inv
         if w.conjugate(witness) == extremal_space(n, k, l):
-            return "generic", witness, l, (k, k + l)
+            return StructureVerdict("MATCHES_VK_TRANSPOSE" if transposed else "MATCHES_VK",
+                                    k_hat=k, l=l, chain_dims=(k, k + l),
+                                    witness_basis=witness, transposed=transposed)
     if m in (2, 3):
         hit = _match_exceptional(MatrixSubspace.span(quotient, m, m), seed)
         if hit is not None:
             p2_inv, tag = hit
             witness = block_diag(Mat.identity(k), p2_inv) @ p1_inv
             if w.conjugate(witness) == exceptional_extremal_space(n, k, tag):
-                return "exceptional", witness, tag, (k,)
+                return StructureVerdict("EXCEPTIONAL", k_hat=k, tag=tag, chain_dims=(k,),
+                                        witness_basis=witness, transposed=transposed)
     return None
 
 
@@ -261,10 +246,7 @@ def _match_exceptional(qspace, seed):
         return None
     probes = [Mat.column([int(i == j) for i in range(m)]) for j in range(m)]
     probes += [Mat.column([t ** i for i in range(m)]) for t in range(1, m * (m - 1) + 1)]
-    rng = random.Random(seed)
-    for attempt in range(24):
-        a = (qspace.basis[attempt] if attempt < m
-             else qspace.random_element(rng, 9))
+    for a in probe_members(qspace.basis, random.Random(seed), 9, 24 - m):
         k_a = next((k for k in (_krylov(a, v) for v in probes) if k.det()), None)
         if k_a is None:
             continue

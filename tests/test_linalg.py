@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from crlab import linalg
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
                           charpoly_discriminant, commutator, mat_from_columns,
-                          random_matrix, rref_rows)
+                          probe_members, random_matrix, rref_rows)
 from crlab.numberfield import NumberField
+from crlab.subspace import span
 
 
 def E(n, i, j):
@@ -77,6 +79,59 @@ def test_products_and_charpoly_with_an_empty_dimension():
     assert Mat(0, 0, []).charpoly() == (Fraction(1),)
     assert Mat(0, 0, []).det() == Fraction(1)
     assert Mat(0, 0, []).trace() == Fraction(0)
+    empty = Mat(0, 0, [])
+    assert commutator(empty, empty) == empty
+    assert empty.is_scalar_matrix()
+    assert block_diag(Mat.identity(2), empty) == Mat.identity(2)
+    assert block_diag(empty, Mat.identity(2)) == Mat.identity(2)
+    with pytest.raises(ValueError):
+        mat_from_columns([])
+
+
+def test_is_scalar_matrix():
+    half = Mat.identity(3) * Fraction(1, 2)
+    assert half.is_scalar_matrix() and (half @ half).is_scalar_matrix()
+    assert Mat.zero(2).is_scalar_matrix()
+    assert not Mat.diagonal([1, 2]).is_scalar_matrix()
+    assert not (Mat.identity(2) + E(2, 0, 1)).is_scalar_matrix()
+    assert not (Mat.identity(2) + E(2, 1, 0)).is_scalar_matrix()
+    assert not Mat.zero(2, 3).is_scalar_matrix()
+    qi = NumberField([1, 0, 1])
+    assert qi.embed_matrix(Mat.identity(2)).is_scalar_matrix()
+    assert not qi.embed_matrix(Mat.diagonal([1, 0])).is_scalar_matrix()
+
+
+def test_probe_members_yields_members_then_nonzero_combinations():
+    mats = [E(2, 0, 1), E(2, 1, 0) * 3]
+    rng = random.Random(3)
+    draws = [[rng.randint(-1, 1) for _ in mats] for _ in range(20)]
+    assert [0, 0] in draws  # the case that is skipped
+    got = list(probe_members(mats, random.Random(3), 1, 20))
+    assert got == mats + [mats[0] * a + mats[1] * b for a, b in draws if a or b]
+
+
+def test_probe_members_draws_every_coefficient_before_the_first_member():
+    mats = [E(3, 0, 1), E(3, 1, 2), Mat.identity(3)]
+    states = []
+    for used in (0, 1, 3, None):
+        rng = random.Random(5)
+        list(islice(probe_members(mats, rng, 4, 8), used))
+        states.append(rng.getstate())
+    rng = random.Random(5)
+    for _ in range(8 * len(mats)):
+        rng.randint(-4, 4)
+    assert states == [rng.getstate()] * 4
+
+
+def test_probe_members_over_q_are_random_element_draws():
+    rng = random.Random(13)
+    v = span([Mat(2, 3, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)])
+              for _ in range(3)])
+    rng = random.Random(19)
+    draws = [v.random_element(rng, 1) for _ in range(60)]
+    assert any(m.is_zero() for m in draws)
+    probes = list(probe_members(v.basis, random.Random(19), 1, 60))
+    assert probes == list(v.basis) + [m for m in draws if not m.is_zero()]
 
 
 def _rational_square(n, rng):

@@ -99,11 +99,15 @@ def test_classify_rejects_rank_two_commutator():
 
 
 def test_classify_transpose_swaps_side_same_direction():
-    v = span([E(3, 0, 0), E(3, 0, 1), E(3, 0, 2)])
-    fam = classify_rank_one_family(v)
-    fam_t = classify_rank_one_family(v.transpose_space())
-    assert {fam.side, fam_t.side} == {"LEFT", "RIGHT"}
-    assert fam.x0 == fam_t.x0
+    # in the second space the first commutator [D, E01] = -E01 has an
+    # unnormalized column
+    for v in (span([E(3, 0, 0), E(3, 0, 1), E(3, 0, 2)]),
+              span([Mat.diagonal([1, 2, 3]), E(3, 0, 1), E(3, 0, 2)])):
+        fam = classify_rank_one_family(v)
+        fam_t = classify_rank_one_family(v.transpose_space())
+        assert {fam.side, fam_t.side} == {"LEFT", "RIGHT"}
+        assert fam.x0 == fam_t.x0
+        assert next(x for x in fam.x0.data if x) == 1
 
 
 # -- commuting families (the ZERO side of the rank-one recursion) ---------------
