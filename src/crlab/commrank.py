@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .linalg import Mat, _bareiss, _combine, _commutator_rows, _fractions, _sparse
+from .linalg import Mat, _bareiss, _combine, _commutator_rows, _sparse
 
 __all__ = [
     "CommutatorProfile",
@@ -118,7 +118,7 @@ def _scan(v, trials, seed, stop_above):
             best, a_best, b_best = r, a, b
             if r > stop_above:
                 break
-    witness = tuple(Mat(n, n, _fractions(m, scale)) for m in (a_best, b_best))
+    witness = tuple(Mat.from_scaled(n, n, scale, m) for m in (a_best, b_best))
     return CommutatorProfile(probable_max=best, certified_lower=best,
                              witness=witness, trials=trials, seed=seed)
 

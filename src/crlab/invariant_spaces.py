@@ -61,11 +61,10 @@ triangular-invariant space of the same dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .commrank import dimension_bound, satisfies_rank_condition
-from .linalg import Mat, VectorSpan, _clear_denominators, commutator
+from .linalg import Mat, VectorSpan, commutator
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -107,9 +106,9 @@ class InvariantSpaceSpec:
         """Span of the block indicators and the forced differences e_i - e_j."""
         gens = []
         for block in self.diag_blocks:
-            g = [Fraction(0)] * self.n
+            g = [0] * self.n
             for x in block:
-                g[x] = Fraction(1)
+                g[x] = 1
             gens.append(g)
         # e_x - e_m for x in each component of the forced pairs, m its largest
         # index: the span of the forced differences, in few and nearly
@@ -117,8 +116,8 @@ class InvariantSpaceSpec:
         diffs = []
         for comp in _components(self.n, self.forced_diffs):
             for x in comp[:-1]:
-                g = [Fraction(0)] * self.n
-                g[x], g[comp[-1]] = Fraction(1), Fraction(-1)
+                g = [0] * self.n
+                g[x], g[comp[-1]] = 1, -1
                 diffs.append(g)
         return VectorSpan(self.n, diffs + gens)
 
@@ -140,11 +139,11 @@ class InvariantSpaceSpec:
 
     def integer_basis(self):
         """``realize().integer_basis()`` without realizing: a unit (i, j) is
-        ``scale`` at flat i*n + j, and the diagonal RREF rows, cleared by their
-        lcm ``scale``, lie on the flats x*(n + 1); rows go by pivot, as
-        tuples."""
+        ``scale`` at flat i*n + j, and the rows of the diagonal span's scaled
+        RREF (over its ``scale``) lie on the flats x*(n + 1); rows go by
+        pivot, as tuples."""
         n, span = self.n, self._diag_span
-        scale, diag = _clear_denominators(span.rows)
+        scale, diag = span.scale, span.entries
         rows = []
         for (i, j) in self.units:
             rows.append([0] * (n * n))

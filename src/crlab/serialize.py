@@ -57,7 +57,7 @@ def str_to_scalar(s):
 
 
 def _mat_to_rows(m):
-    return [[_entry_jsonable(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[_entry_jsonable(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def _entry_jsonable(x):

@@ -9,8 +9,7 @@ and the square-only predicates guard themselves.
 
 from __future__ import annotations
 
-from .linalg import (Mat, VectorSpan, _clear_denominators, _combine, _fractions,
-                     _sparse, mat_from_columns)
+from .linalg import Mat, VectorSpan, _combine, _sparse
 
 __all__ = ["MatrixSubspace", "span", "zero_space", "full_space"]
 
@@ -23,7 +22,7 @@ class MatrixSubspace:
             raise TypeError("use span() / MatrixSubspace.span to build spaces")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "basis", tuple(Mat(rows, cols, v) for v in vspan.rows))
+        object.__setattr__(self, "basis", tuple(vspan.members(rows, cols)))
         object.__setattr__(self, "_span", vspan)
 
     def __setattr__(self, name, value):
@@ -40,8 +39,7 @@ class MatrixSubspace:
         for m in mats:
             if m.rows != rows or m.cols != cols:
                 raise ValueError("generators have mismatched shapes")
-        return cls(rows, cols, VectorSpan(rows * cols, (m.data for m in mats)),
-                   _canonical=True)
+        return cls(rows, cols, VectorSpan(rows * cols, mats), _canonical=True)
 
     # -- basic queries -------------------------------------------------------
 
@@ -62,8 +60,8 @@ class MatrixSubspace:
     def integer_basis(self):
         """(L, rows): L is the lcm of the basis denominators and rows[p] is
         L times the p-th canonical basis element as a flat tuple of ints; the
-        integer form of the space's span, kept since the space never changes."""
-        return self._span.integer_form()
+        form of the space's span, kept since the space never changes."""
+        return self._span.scale, self._span.entries
 
     def contains(self, m):
         if m.rows != self.rows or m.cols != self.cols:
@@ -90,24 +88,6 @@ class MatrixSubspace:
         return MatrixSubspace.span(list(self.basis) + list(other.basis),
                                    self.rows, self.cols)
 
-    def intersect(self, other):
-        self._check_ambient(other)
-        if not self.basis or not other.basis:
-            return zero_space(self.rows, self.cols)
-        # kernel of [B_V^T | -B_W^T]: coefficient pairs with equal combinations
-        ker = mat_from_columns([b.data for b in self.basis]
-                               + [(-b).data for b in other.basis]).kernel_basis()
-        # each member scaled to integers, which leaves their span as it is
-        rows = _sparse(self.integer_basis()[1])
-        _, coeffs = _clear_denominators([k.data[:self.dim] for k in ker])
-        size = self.rows * self.cols
-        mats = [Mat(self.rows, self.cols, _fractions(_combine(rows, c, size), 1)) for c in coeffs]
-        return MatrixSubspace.span(mats, self.rows, self.cols)
-
-    def with_identity(self):
-        """Adjoin the identity (no-op when already present)."""
-        return MatrixSubspace.span(list(self.basis) + [Mat.identity(self.n)])
-
     def _check_ambient(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("ambient mismatch")
@@ -120,7 +100,7 @@ class MatrixSubspace:
         Each product B_i B_j of the integer rows B_p = L b_p is formed in
         ints, row i of it the combination of the rows of B_j by row i of B_i,
         walking only the nonzero entries of the sparse echelon rows, and is
-        then asked of the span as an integer vector.
+        then asked of the span as an integer matrix.
         """
         if not self.is_square:
             raise ValueError("square spaces only")
@@ -130,7 +110,7 @@ class MatrixSubspace:
             b_rows = _sparse(b[i:i + n] for i in range(0, n * n, n))
             for a in rows:
                 prod = [x for i in range(0, n * n, n) for x in _combine(b_rows, a[i:i + n], n)]
-                if not self._span.contains(prod):
+                if not self._span.contains(Mat.from_scaled(n, n, 1, prod)):
                     return False
         return True
 
@@ -141,8 +121,8 @@ class MatrixSubspace:
         scale, rows = self.integer_basis()
         coeffs = [rng.randint(-entry_bound, entry_bound) for _ in rows]
         size = self.rows * self.cols
-        return Mat(self.rows, self.cols,
-                   _fractions(_combine(_sparse(rows), coeffs, size), scale))
+        return Mat.from_scaled(self.rows, self.cols, scale,
+                               _combine(_sparse(rows), coeffs, size))
 
     # -- comparison ---------------------------------------------------------------
 

@@ -127,8 +127,8 @@ def classify_rank_one_family(v):
                 "nonzero commutators share no common direction",
                 pair, c, reference_pair=nonzero[0][0])
     if cols.dim == 1:  # tie-break LEFT when a single commutator factors both ways
-        return RankOneFamily("LEFT", Mat.column(cols.rows[0]))
-    return RankOneFamily("RIGHT", Mat.column(rows.rows[0]))
+        return RankOneFamily("LEFT", cols.members(n, 1)[0])
+    return RankOneFamily("RIGHT", rows.members(n, 1)[0])
 
 
 # -- recursion machinery --------------------------------------------------------
@@ -172,14 +172,14 @@ def _find_singular_shift(mats, field, rng):
 def _column_space(m):
     """The echelon basis of the column space of m, as column vectors (its
     entries stay small where raw columns of m may not)."""
-    span = VectorSpan(m.rows, (m.col(j) for j in range(m.cols)))
-    return [Mat.column(r) for r in span.rows]
+    span = VectorSpan(m.rows, (m.block(0, m.rows, j, j + 1) for j in range(m.cols)))
+    return span.members(m.rows, 1)
 
 
 def _is_invariant(mats, vectors):
     """Is span(vectors) invariant under every matrix?  Returns an offending
     (matrix, vector) witness or None."""
-    span = VectorSpan(vectors[0].rows, [u.data for u in vectors])
+    span = VectorSpan(vectors[0].rows, vectors)
     for a in mats:
         for u in vectors:
             if not span.contains(a @ u):
@@ -200,7 +200,7 @@ def _triangularize_family(mats, n, field, rng):
         if bad is not None:
             raise InvariantFailureError(b0, bad[0], bad[1])
     m = len(subspace)
-    p1, p1_inv = adapted_basis([u.data for u in subspace], n)
+    p1, p1_inv = adapted_basis(subspace, n)
     conj = [p1_inv @ a @ p1 for a in mats]
     p_top, field = _triangularize_family([t.block(0, m, 0, m) for t in conj],
                                          m, field, rng)

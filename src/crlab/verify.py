@@ -151,10 +151,10 @@ def _match_block_form(w, k, seed, transposed):
     quotient = [(p1_inv @ a @ p1).block(k, n, k, n) for a in w.basis]
     m = n - k
     nils = [q - Mat.identity(m) * (q.trace() / m) for q in quotient]
-    strip = VectorSpan(m, [nil.col(j) for nil in nils for j in range(m)])
+    strip = VectorSpan(m, [nil.block(0, m, j, j + 1) for nil in nils for j in range(m)])
     l = strip.dim
     if l in valid_splits(n, k):
-        witness = block_diag(Mat.identity(k), adapted_basis(strip.rows, m)[1]) @ p1_inv
+        witness = block_diag(Mat.identity(k), adapted_basis(strip.members(m, 1), m)[1]) @ p1_inv
         if w.conjugate(witness) == extremal_space(n, k, l):
             return StructureVerdict("MATCHES_VK_TRANSPOSE" if transposed else "MATCHES_VK",
                                     k_hat=k, l=l, chain_dims=(k, k + l),
@@ -194,13 +194,13 @@ def _commutator_core(w, k):
             break
         c = commutator(a, b)
         for col in range(n):
-            span.add(c.col(col))
+            span.add(c.block(0, n, col, col + 1))
     grew = True
     while grew:
         grew = False
         for a in basis:
-            for row in list(span.rows):
-                if span.add(a @ Mat.column(row)):
+            for u in span.members(n, 1):
+                if span.add(a @ u):
                     grew = True
     return span.rows
 

@@ -1,14 +1,13 @@
+import math
 import random
 from fractions import Fraction
 from itertools import islice
-from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlab import linalg
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
                           charpoly_discriminant, commutator, mat_from_columns,
                           probe_members, random_matrix, rref_rows)
@@ -279,7 +278,7 @@ def test_product_agrees_with_sympy(pair):
     a, b = pair
     ours = Mat.from_rows(a) @ Mat.from_rows(b)
     assert _as_sympy(ours) == _sympy_matrix(a) * _sympy_matrix(b)
-    _assert_kept_form(ours)
+    _assert_canonical(ours)
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,15 +287,20 @@ def test_commutator_agrees_with_sympy(pair):
     a, b = _sympy_matrix(pair[0]), _sympy_matrix(pair[1])
     ours = commutator(*map(Mat.from_rows, pair))
     assert _as_sympy(ours) == a * b - b * a
-    _assert_kept_form(ours)
+    _assert_canonical(ours)
 
 
-# -- the kept integer form: chained rational products against sympy -------------
+# -- the canonical form: chained rational products against sympy ----------------
 
-def _assert_kept_form(m):
-    """A product or commutator is built with its integer form, and the form
-    is the one clearing its entries' denominators would give."""
-    assert m._ints == linalg._clear_denominators((m.data,))
+def _assert_canonical(m):
+    """m is its canonical form: a positive scale coprime to the int
+    entries, and equal, with an equal hash, to the matrix built from its
+    scalars."""
+    assert m.scale > 0 and all(type(x) is int for x in m.entries)
+    assert math.gcd(m.scale, *m.entries) == 1
+    plain = Mat(m.rows, m.cols, m.data)
+    assert (plain.scale, plain.entries) == (m.scale, m.entries)
+    assert plain == m and hash(plain) == hash(m)
 
 
 def _unimodular_times_primes(n, seed):
@@ -324,7 +328,7 @@ def test_chained_rational_products_agree_with_sympy(case):
     assert c.rank() == _as_sympy(c).rank()
     assert _q(conj_a.det()) == ref_a.det()
     for m in (p, p_inv @ a, conj_a, conj_b, c, commutator(c, conj_a)):
-        _assert_kept_form(m)
+        _assert_canonical(m)
 
 
 def _fraction_product(x, y):
@@ -333,20 +337,19 @@ def _fraction_product(x, y):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[_matrices(n, n)] * 3)))
-def test_a_product_read_late_equals_one_built_eagerly(case):
+def test_a_product_equals_the_matrix_built_from_its_entries(case):
     a_rows, b_rows, c_rows = case
     a, b, c = map(Mat.from_rows, case)
     ab = _fraction_product(a_rows, b_rows)
     ab_c, c_ab = _fraction_product(ab, c_rows), _fraction_product(c_rows, ab)
     comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ab_c, c_ab)]
-    for lazy, rows in ((a @ b, ab), (a @ b @ c, ab_c), (commutator(a @ b, c), comm)):
-        with pytest.raises(AttributeError):
-            Mat.data.__get__(lazy)  # born with its kept form only
-        eager = Mat.from_rows(rows)
-        assert lazy.integer_form() == eager.integer_form()
-        assert lazy.rank() == eager.rank()
-        assert hash(lazy) == hash(eager)
-        assert lazy == eager and lazy.data == eager.data
+    for product, rows in ((a @ b, ab), (a @ b @ c, ab_c), (commutator(a @ b, c), comm)):
+        built = Mat.from_rows(rows)
+        _assert_canonical(product)
+        assert (product.scale, product.entries) == (built.scale, built.entries)
+        assert product == built and hash(product) == hash(built)
+        assert product.rank() == built.rank()
+        assert product.data == built.data == tuple(x for r in rows for x in r)
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,14 +360,56 @@ def test_zero_and_triangular_tests_agree_on_the_kept_form(rows, lower_zero):
                 for i, r in enumerate(rows)]
     n = len(rows)
     formed = Mat.from_rows(rows)
-    formed.integer_form()
     unit = Mat.identity(n)
     for m in (formed, unit @ formed, Mat.zero(n) @ formed):
-        plain = Mat(n, n, m.data)  # no kept form: the tests read the entries
-        assert plain._ints is None
+        plain = Mat(n, n, m.data)  # built from the scalars, not by a kernel
         assert m.is_zero() == plain.is_zero() == (not any(m.data))
         assert m.is_upper_triangular() == plain.is_upper_triangular()
     assert formed.is_upper_triangular() or not lower_zero
+
+
+def test_int_entries_are_rational():
+    m = Mat(2, 2, [2, 1, 1, 1])
+    assert m.charpoly() == (1, -3, 1)
+    assert all(type(c) is Fraction for c in m.charpoly())
+    assert m.det() == 1 and type(m.det()) is Fraction
+    assert m == Mat.from_rows([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    assert m.inverse() == Mat.from_rows([[1, -1], [-1, 2]])
+    cases = {((2, 1), (1, 1)): ([[1, 0], [0, 1]], [0, 1]),
+             ((2, 4, 1), (1, 2, 0)): ([[1, 2, 0], [0, 0, 1]], [0, 2]),
+             ((3, 1), (6, 2)): ([[1, Fraction(1, 3)], [0, 0]], [0]),
+             ((0, 0, 5),): ([[0, 0, 1]], [2])}
+    for rows, (want, want_pivots) in cases.items():
+        work = [list(r) for r in rows]
+        assert rref_rows(work) == want_pivots
+        assert work == want and all(type(x) is Fraction for r in work for x in r)
+    for bad in ([0.5], [1, 2.0], ["1"]):
+        with pytest.raises(TypeError):
+            Mat(1, len(bad), bad)
+    with pytest.raises(TypeError):
+        Mat.identity(2) * 0.5
+    with pytest.raises(TypeError):
+        rref_rows([[1, 0.5]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda s: st.tuples(
+    _matrices(*s), _matrices(*s), _ENTRY, _matrices(s[0], s[0]), _matrices(s[1], s[1]),
+    st.integers(0, s[0]), st.integers(0, s[0]), st.integers(0, s[1]), st.integers(0, s[1]))))
+def test_entrywise_ops_blocks_and_block_diag_agree_with_sympy(case):
+    a_rows, b_rows, c, sq_rows, sq2_rows, r0, r1, c0, c1 = case
+    a, b, sq, sq2 = map(Mat.from_rows, (a_rows, b_rows, sq_rows, sq2_rows))
+    sa, sb, ssq, ssq2 = map(_sympy_matrix, (a_rows, b_rows, sq_rows, sq2_rows))
+    r0, r1, c0, c1 = min(r0, r1), max(r0, r1), min(c0, c1), max(c0, c1)
+    checks = [(a + b, sa + sb), (a - b, sa - sb), (-a, -sa), (a * c, sa * _q(c)),
+              (c * a, sa * _q(c)), (a.transpose(), sa.T),
+              (block_diag(sq, sq2), sympy.diag(ssq, ssq2))]
+    if r1 > r0 and c1 > c0:
+        checks.append((a.block(r0, r1, c0, c1), sa[r0:r1, c0:c1]))
+    for ours, ref in checks:
+        _assert_canonical(ours)
+        assert _as_sympy(ours) == ref
+    assert a.block(r0, r1, c0, c1).rows == r1 - r0 and a.block(r0, r1, c0, c1).cols == c1 - c0
 
 
 _CBRT2 = NumberField([-2, 0, 0, 1])
@@ -412,23 +457,20 @@ def test_commutator_over_a_number_field_agrees_with_sympy(pair):
 
 
 def _rref_case(rows):
-    """rref_rows on a copy, recording whether the integer path ran."""
+    """rref_rows on a copy."""
     work = [list(r) for r in rows]
-    with mock.patch.object(linalg, "_rref_integer", wraps=linalg._rref_integer) as spy:
-        pivots = rref_rows(work)
-    return work, pivots, spy.called
+    return work, rref_rows(work)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=5)))
 def test_rref_rows_agrees_with_sympy(rows):
-    # a dependent row forces a zero row; rational rows take the integer path,
-    # integer-valued or not
+    # a dependent row forces a zero row; rational rows, integer-valued or
+    # not, come back as Fractions
     rows = rows + [[a - 2 * b for a, b in zip(rows[0], rows[-1])]]
     for case in (rows, [[Fraction(x.numerator) for x in r] for r in rows]):
-        work, pivots, integer_path = _rref_case(case)
-        assert integer_path
+        work, pivots = _rref_case(case)
         assert all(isinstance(x, Fraction) for r in work for x in r)
         ref, ref_pivots = _sympy_matrix(case).rref()
         assert pivots == list(ref_pivots)
@@ -441,8 +483,8 @@ def test_rref_rows_over_q_i_keeps_the_field_path():
     rows = [[half, i * half, _QI.one(), _QI.zero()],
             [i, -_QI.one(), _QI.element([Fraction(1, 3), Fraction(2, 7)]), half]]
     rows.append([a + i * half * b for a, b in zip(*rows)])  # rank 2: a zero row
-    work, pivots, integer_path = _rref_case(rows)
-    assert not integer_path
+    work, pivots = _rref_case(rows)
+    assert all(x.mod == i.mod for r in work for x in r)  # the rows stay in Q(i)
 
     def gaussian(rows):
         return sympy.Matrix([[_q(a) + _q(b) * sympy.I for a, b in map(_coeffs, r)]
