@@ -173,9 +173,7 @@ def flanders_space(m, n_cols, k):
 
 
 def _rect_unit(rows, cols, i, j):
-    data = [Fraction(0)] * (rows * cols)
-    data[i * cols + j] = Fraction(1)
-    return Mat(rows, cols, data)
+    return Mat.from_scaled(rows, cols, 1, [int(k == i * cols + j) for k in range(rows * cols)])
 
 
 def bidiagonal_witness_pair(n, s, lambdas, mus):

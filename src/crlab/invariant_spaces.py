@@ -87,19 +87,20 @@ class InvariantSpaceSpec:
 
     n: int
     units: frozenset  # off-diagonal positions (i, j), zero-based
-    diag_blocks: tuple  # partition of range(n): tuple of sorted tuples
+    diag_blocks: tuple  # partition of range(n), stored as sorted tuples by least index
     forced_diffs: frozenset = frozenset()  # (i, j), i > j: generator e_i - e_j
 
     def __post_init__(self):
         for (i, j) in self.units:
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"bad unit position {(i, j)}")
-        seen = sorted(x for b in self.diag_blocks for x in b)
-        if seen != list(range(self.n)):
+        blocks = sorted(tuple(sorted(b)) for b in self.diag_blocks)
+        if not all(blocks) or sorted(x for b in blocks for x in b) != list(range(self.n)):
             raise ValueError("diag_blocks must partition the index set")
+        object.__setattr__(self, "diag_blocks", tuple(blocks))
         for (i, j) in self.forced_diffs:
-            if not i > j:
-                raise ValueError("difference generators are stored as (i, j), i > j")
+            if not 0 <= j < i < self.n:
+                raise ValueError(f"bad difference generator {(i, j)}: need 0 <= j < i < n")
 
     @cached_property
     def _diag_span(self):
@@ -134,7 +135,7 @@ class InvariantSpaceSpec:
     def realize(self):
         """The described space as a canonical MatrixSubspace."""
         mats = [Mat.unit(self.n, i, j) for (i, j) in sorted(self.units)]
-        mats += [Mat.diagonal(g) for g in self._diag_span.rows]
+        mats += [Mat.diagonal(g) for g in self._diag_span.entries]
         return MatrixSubspace.span(mats, self.n, self.n)
 
     def integer_basis(self):
@@ -158,10 +159,6 @@ class InvariantSpaceSpec:
 
     def sort_key(self):
         return (sorted(self.units), self.diag_blocks, sorted(self.forced_diffs))
-
-
-def _canonical_blocks(blocks):
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
 # -- closure -------------------------------------------------------------------
@@ -229,8 +226,7 @@ def triangular_closure(spec):
     lower = {(i, j) for (i, j) in units if i > j}
     diffs = {(i, j) for (i, j) in spec.forced_diffs | lower
              if not (i in singletons and j in singletons)}
-    return InvariantSpaceSpec(spec.n, units, _canonical_blocks(spec.diag_blocks),
-                              frozenset(diffs))
+    return InvariantSpaceSpec(spec.n, units, spec.diag_blocks, frozenset(diffs))
 
 
 # -- invariance predicate --------------------------------------------------------
@@ -243,8 +239,9 @@ def is_triangular_invariant(v):
     by the diagonal torus) iff every off-diagonal position in the support
     of a member spans a unit line of V."""
     n = v.n
-    support = {(i, j) for a in v.basis for i in range(n) for j in range(n)
-               if i != j and a[i, j]}
+    # the flat index f = i*n + j of an entry is on the diagonal iff n + 1 divides it
+    support = {divmod(f, n) for a in v.basis for f, x in enumerate(a.entries)
+               if x and f % (n + 1)}
     if not all(v.contains(Mat.unit(n, i, j)) for i, j in support):
         return False
     for i in range(n):
@@ -253,7 +250,7 @@ def is_triangular_invariant(v):
             for a in v.basis:
                 if not v.contains(commutator(a, e)):
                     return False
-                if a[j, i] and not v.contains(e):
+                if a.entries[j * n + i] and not v.contains(e):
                     return False
     return True
 
@@ -347,7 +344,7 @@ def _specs_for_units(n, units):
     merge_pool = [c for c in comps if not (len(c) == 1 and c[0] in forced)]
     for grouping in _set_partitions(merge_pool):
         blocks = fixed + [sum(g, []) for g in grouping]
-        yield InvariantSpaceSpec(n, units, _canonical_blocks(blocks))
+        yield InvariantSpaceSpec(n, units, blocks)
 
 
 # -- the exhaustive bound search ---------------------------------------------------

@@ -37,7 +37,7 @@ columns before them; the row operations E turn P into I, so E, the
 right-hand block, is P^{-1} (:meth:`Mat.inverse` is k = n).
 
 Median ``adj_wall_s`` over 10 alternating pairs of 20-s runs (2 shared
-vCPUs, Python 3.11.7): the fraction-free ``rref_rows`` took ``files`` from
+vCPUs, Python 3.11.7): the fraction-free :func:`_echelon` took ``files`` from
 1.050 to 0.986 s and ``search`` from 0.0656 to 0.0573 s; products run on
 the integer form took ``files`` from 0.968 to 0.817 s (10 of 10 pairs
 faster).  Sparse rows in :func:`_combine`, the integer Faddeev–LeVerrier
@@ -68,7 +68,6 @@ __all__ = [
     "charpoly_discriminant",
     "probe_members",
     "random_matrix",
-    "rref_rows",
     "mat_from_columns",
     "adapted_basis",
     "block_diag",
@@ -190,18 +189,19 @@ class Mat:
         return tuple(_scalars(self.entries, self.scale))
 
     def __getitem__(self, ij):
-        k = ij[0] * self.cols + ij[1]
-        return _scalars(self.entries[k:k + 1], self.scale)[0]
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {ij} outside a {self.rows}x{self.cols} matrix")
+        return _scalars([self.entries[i * self.cols + j]], self.scale)[0]
 
     def row(self, i):
         return tuple(_scalars(self.entries[i * self.cols:(i + 1) * self.cols], self.scale))
 
-    def col(self, j):
-        return tuple(_scalars(self.entries[j::self.cols], self.scale))
-
     def block(self, r0, r1, c0, c1):
         """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
         c = self.cols
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= c):
+            raise ValueError(f"block {(r0, r1, c0, c1)} outside a {self.rows}x{c} matrix")
         return Mat.from_scaled(r1 - r0, c1 - c0, self.scale,
                                [x for i in range(r0, r1) for x in self.entries[i * c + c0:i * c + c1]])
 
@@ -430,18 +430,6 @@ def _bareiss(rows):
     return r, sign
 
 
-def rref_rows(rows):
-    """Reduce rows in place to their unique reduced row echelon form by
-    :func:`_echelon`; return pivot columns.  Rows of ints and Fractions come
-    back as Fractions, rows with number-field elements in their field."""
-    if not rows or not rows[0]:
-        return []
-    rows[:] = [_form(r)[1] for r in rows]
-    pivots, scale = _echelon(rows)
-    rows[:] = [_scalars(r, scale) for r in rows]
-    return pivots
-
-
 def _echelon(rows):
     """Gauss–Jordan in place on rows of ints or of field elements; returns
     (pivot columns, L), row p ending as R_p with RREF row p = R_p / L and
@@ -530,11 +518,6 @@ class VectorSpan:
     @property
     def dim(self):
         return len(self.pivots)
-
-    @property
-    def rows(self):
-        """The RREF rows as lists of scalars, built on each read."""
-        return [_scalars(r, self.scale) for r in self.entries]
 
     def members(self, rows, cols):
         """The RREF rows as rows-by-cols matrices, each in its canonical form."""

@@ -118,10 +118,13 @@ def classify_rank_one_family(v):
     n = v.n
     cols, rows = VectorSpan(n), VectorSpan(n)
     for pair, c in nonzero:  # a span past dimension 1 stays past it: stop growing it
+        e = c.entries
         if cols.dim < 2:
-            cols.add(next(u for u in map(c.col, range(n)) if any(u)))
+            j = next(j for j in range(n) if any(e[j::n]))
+            cols.add(c.block(0, n, j, j + 1))
         if rows.dim < 2:
-            rows.add(next(w for w in map(c.row, range(n)) if any(w)))
+            i = next(i for i in range(n) if any(e[i * n:(i + 1) * n]))
+            rows.add(c.block(i, i + 1, 0, n))
         if cols.dim > 1 and rows.dim > 1:
             raise InconsistentFamilyError(
                 "nonzero commutators share no common direction",
@@ -209,18 +212,13 @@ def _triangularize_family(mats, n, field, rng):
     return _lift(p1, field) @ block_diag(_lift(p_top, field), p_bot), field
 
 
-def _triangularize(v):
-    """The shared recursion on the basis of v, packaged with the field of P."""
-    p, field = _triangularize_family(list(v.basis), v.n, None,
-                                     random.Random(_COMBO_SEED))
-    return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)), field=field)
-
-
 def triangularize_rank_one(v):
     """Simultaneous triangularization of a space with rank-<=1 commutators
     (a commuting space is the ZERO family, through the same recursion)."""
     classify_rank_one_family(v)  # raises InconsistentFamilyError on a bad family
-    return _triangularize(v)
+    p, field = _triangularize_family(list(v.basis), v.n, None,
+                                     random.Random(_COMBO_SEED))
+    return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)), field=field)
 
 
 def verify_triangular(v, p):

@@ -172,14 +172,14 @@ def _match_block_form(w, k, seed, transposed):
 
 def _commutator_core(w, k):
     """The core C, the smallest invariant subspace containing every
-    basis-pair commutator column, as its RREF rows (lists), when
-    dim C = k; otherwise some invariant subspace inside C that the caller
+    basis-pair commutator column, as its RREF basis of n-by-1 matrices,
+    when dim C = k; otherwise some invariant subspace inside C that the caller
     will reject or fail to match.
 
     The scan of basis pairs stops once the collected columns span k
     dimensions; the span S is then closed under the basis.  S lies in C,
     so when dim C = k the first k-dimensional S is C itself, and the RREF
-    rows, the witness and the verdict are those of the full scan.  When
+    basis, the witness and the verdict are those of the full scan.  When
     dim C != k the full scan gives a core the caller rejects; the result
     here is either rejected too or passed to the exact conjugation test,
     which then fails: C is carried along by a similarity, and every space
@@ -202,7 +202,7 @@ def _commutator_core(w, k):
             for u in span.members(n, 1):
                 if span.add(a @ u):
                     grew = True
-    return span.rows
+    return span.members(n, 1)
 
 
 # -- exceptional quotient matcher ------------------------------------------------

@@ -213,7 +213,8 @@ def test_triangularize_inconsistent_directions_carry_the_reference_pair(tmp_path
              for key in ("witness_pair", "reference_pair")]
     assert all(c.rank() == 1 for c in comms)
     for a, b in (comms, [c.transpose() for c in comms]):  # columns, then rows
-        assert mat_from_columns([*map(a.col, range(4)), *map(b.col, range(4))]).rank() == 2
+        columns = [m.block(0, 4, j, j + 1) for m in (a, b) for j in range(4)]
+        assert mat_from_columns(columns).rank() == 2
 
 
 def test_verify_structure_command(tmp_path, capsys):

@@ -80,6 +80,21 @@ def test_closure_with_partition_and_differences_is_invariant():
         assert is_triangular_invariant(c.realize())
 
 
+def test_spec_validates_differences_and_keeps_blocks_canonical():
+    for diff in ((5, 0), (0, 1), (1, -1), (3, 1)):
+        with pytest.raises(ValueError):
+            InvariantSpaceSpec(3, frozenset(), ((0, 1, 2),), frozenset({diff}))
+    with pytest.raises(ValueError):
+        InvariantSpaceSpec(2, frozenset(), ((0, 1), ()))
+    given = InvariantSpaceSpec(2, frozenset({(0, 1)}), ((1,), (0,)))
+    canonical = InvariantSpaceSpec(2, frozenset({(0, 1)}), ((0,), (1,)))
+    assert given.diag_blocks == ((0,), (1,)) and given == canonical
+    assert triangular_closure(given) == given
+    mixed = InvariantSpaceSpec(4, frozenset(), ([3, 1], (2, 0)))
+    assert mixed.diag_blocks == ((0, 2), (1, 3))
+    assert mixed.sort_key() == (sorted(mixed.units), ((0, 2), (1, 3)), [])
+
+
 def test_spec_integer_basis_matches_realized():
     rng = random.Random(43)
     specs = [s for n in range(2, 7) for s in enumerate_invariant_spaces(n)]

@@ -8,11 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crlab import verify
+from crlab.constructions import extremal_space, rank_one_max_space
+from crlab.invariant_spaces import InvariantSpaceSpec, search_max_dimension
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
                           charpoly_discriminant, commutator, mat_from_columns,
-                          probe_members, random_matrix, rref_rows)
+                          probe_members, random_matrix)
 from crlab.numberfield import NumberField
 from crlab.subspace import span
+from crlab.triangularize import classify_rank_one_family
 
 
 def E(n, i, j):
@@ -380,16 +384,74 @@ def test_int_entries_are_rational():
              ((3, 1), (6, 2)): ([[1, Fraction(1, 3)], [0, 0]], [0]),
              ((0, 0, 5),): ([[0, 0, 1]], [2])}
     for rows, (want, want_pivots) in cases.items():
-        work = [list(r) for r in rows]
-        assert rref_rows(work) == want_pivots
-        assert work == want and all(type(x) is Fraction for r in work for x in r)
+        span = VectorSpan(len(rows[0]), rows)
+        assert span.pivots == want_pivots
+        assert all(type(x) is int for r in span.entries for x in r)
+        assert [[Fraction(x, span.scale) for x in r] for r in span.entries] == want[:span.dim]
     for bad in ([0.5], [1, 2.0], ["1"]):
         with pytest.raises(TypeError):
             Mat(1, len(bad), bad)
     with pytest.raises(TypeError):
         Mat.identity(2) * 0.5
     with pytest.raises(TypeError):
-        rref_rows([[1, 0.5]])
+        VectorSpan(2, [[1, 0.5]])
+
+
+def test_getitem_checks_its_index():
+    m = Mat.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert [m[i, j] for i in range(2) for j in range(3)] == [1, 2, 3, 4, 5, 6]
+    for ij in ((0, 3), (1, -1), (0, -1), (2, 0), (-1, 0)):
+        with pytest.raises(IndexError):
+            m[ij]
+
+
+def test_block_checks_its_bounds():
+    eye = Mat.identity(3)
+    assert eye.block(1, 1, 0, 3).rows == 0 and eye.block(0, 3, 2, 2).cols == 0
+    assert eye.block(1, 3, 0, 3).rank() == 2
+    for bounds in ((0, 4, 0, 1), (0, 1, 0, 4), (2, 1, 0, 1), (0, 1, 2, 1),
+                   (-1, 1, 0, 1), (0, 1, -1, 1)):
+        with pytest.raises(ValueError):
+            eye.block(*bounds)
+
+
+def _conjugated(v, seed):
+    """v conjugated by a seeded integer matrix, whose inverse brings denominators."""
+    rng = random.Random(seed)
+    while True:
+        q = random_matrix(v.n, v.n, 3, rng.randint(0, 10 ** 9))
+        if q.det():
+            w = v.conjugate(q)
+            assert w.integer_basis()[0] > 1
+            return w
+
+
+@pytest.mark.parametrize("case", [
+    (lambda: _conjugated(rank_one_max_space(4, "generic", 1), 5),
+     lambda v: classify_rank_one_family(v).side != "ZERO"),
+    (lambda: _conjugated(extremal_space(5, 2, 1), 6),
+     lambda v: len(verify._commutator_core(v, 2)) == 2),
+    # the diagonal span's RREF rows are e_x + e_2 / 2
+    (lambda: InvariantSpaceSpec(3, frozenset({(1, 0)}), ((0, 1, 2),), frozenset({(1, 0)})),
+     lambda spec: spec.realize().integer_basis()[0] == 2),
+    (lambda: 5, lambda n: search_max_dimension(n, 2).matches_bound),
+], ids=["classify_rank_one_family", "commutator_core", "spec_realize", "search"])
+def test_no_fraction_between_kernels(monkeypatch, case):
+    # a Fraction is built only where a scalar leaves the library (data,
+    # __getitem__, row, trace, det, charpoly, serialize, sympy hand-offs)
+    build, call = case
+    given = build()
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    ok = call(given)
+    monkeypatch.undo()
+    assert ok and made == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -456,43 +518,52 @@ def test_commutator_over_a_number_field_agrees_with_sympy(pair):
     assert _domain_rows(ours) == (a * b - b * a).to_list()
 
 
-def _rref_case(rows):
-    """rref_rows on a copy."""
-    work = [list(r) for r in rows]
-    return work, rref_rows(work)
+def _gaussian(rows):
+    """Rows of Q(i) elements as a sympy matrix over the Gaussian rationals."""
+    return sympy.Matrix([[_q(a) + _q(b) * sympy.I for a, b in map(_coeffs, r)] for r in rows])
+
+
+def _assert_span_is_sympy_rref(span, vectors):
+    """The span's pivots and its RREF rows entries[p] / scale, read through
+    ``members``, are those of sympy's RREF of the vectors (rows past the
+    rank are zero there)."""
+    rational = all(isinstance(x, (int, Fraction)) for v in vectors for x in v)
+    as_sympy = _sympy_matrix if rational else _gaussian
+    ref, ref_pivots = as_sympy(vectors).rref(simplify=not rational)
+    assert span.pivots == list(ref_pivots)
+    rows = [list(m.data) for m in span.members(1, span.length)]
+    if rational:
+        assert all(type(x) is Fraction for r in rows for x in r)
+    else:
+        assert all(x.mod == _QI.one().mod for r in rows for x in r)  # the rows stay in Q(i)
+    ours = sympy.zeros(*ref.shape)
+    for p, r in enumerate(rows):
+        ours[p, :] = as_sympy([r])
+    assert (ours - ref).expand() == sympy.zeros(*ref.shape)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=5)))
-def test_rref_rows_agrees_with_sympy(rows):
+def test_span_rref_agrees_with_sympy(rows):
     # a dependent row forces a zero row; rational rows, integer-valued or
-    # not, come back as Fractions
+    # not, are kept as ints
     rows = rows + [[a - 2 * b for a, b in zip(rows[0], rows[-1])]]
     for case in (rows, [[Fraction(x.numerator) for x in r] for r in rows]):
-        work, pivots = _rref_case(case)
-        assert all(isinstance(x, Fraction) for r in work for x in r)
-        ref, ref_pivots = _sympy_matrix(case).rref()
-        assert pivots == list(ref_pivots)
-        assert _sympy_matrix(work) == ref
+        span = VectorSpan(len(case[0]), case)
+        assert all(type(x) is int for r in span.entries for x in r)
+        _assert_span_is_sympy_rref(span, case)
 
 
-def test_rref_rows_over_q_i_keeps_the_field_path():
+def test_span_rref_over_q_i_keeps_the_field_path():
     i = _QI.theta()
     half = _QI.element([Fraction(1, 2)])
     rows = [[half, i * half, _QI.one(), _QI.zero()],
             [i, -_QI.one(), _QI.element([Fraction(1, 3), Fraction(2, 7)]), half]]
     rows.append([a + i * half * b for a, b in zip(*rows)])  # rank 2: a zero row
-    work, pivots = _rref_case(rows)
-    assert all(x.mod == i.mod for r in work for x in r)  # the rows stay in Q(i)
-
-    def gaussian(rows):
-        return sympy.Matrix([[_q(a) + _q(b) * sympy.I for a, b in map(_coeffs, r)]
-                             for r in rows])
-
-    ref, ref_pivots = gaussian(rows).rref(simplify=True)
-    assert pivots == list(ref_pivots)
-    assert (gaussian(work) - ref).expand() == sympy.zeros(*ref.shape)
+    span = VectorSpan(4, rows)
+    assert span.scale == 1 and span.dim == 2
+    _assert_span_is_sympy_rref(span, rows)
 
 
 def test_distinct_eigenvalues_imply_full_krylov_rank():
@@ -610,7 +681,7 @@ def test_charpoly_constant_term_is_det(rows):
     assert acc.is_zero()
 
 
-# -- the span engine: VectorSpan.add against one batch rref_rows ------------------
+# -- the span engine: VectorSpan.add against one batch VectorSpan ----------------
 
 _QI = NumberField([1, 0, 1])
 
@@ -642,16 +713,16 @@ def _as_mats(v):
 def _check_span_engine(vectors, probes):
     # a duplicate and a combination make some additions dependent
     vectors = vectors + [vectors[0], [a + 3 * b for a, b in zip(vectors[0], vectors[-1])]]
-    work = [list(v) for v in vectors]
-    pivots = rref_rows(work)
+    batch = VectorSpan(len(vectors[0]), vectors)
+    _assert_span_is_sympy_rref(batch, vectors)
     grew = [_rank(vectors[:i + 1]) > _rank(vectors[:i]) for i in range(len(vectors))]
-    inside = [_rank(vectors + [w]) == len(pivots) for w in vectors + probes]
+    inside = [_rank(vectors + [w]) == batch.dim for w in vectors + probes]
     # the same span grown from lists, from rows and from columns, each from empty
     for shape in (list, lambda v: _as_mats(v)[0], lambda v: _as_mats(v)[1]):
         span = VectorSpan(len(vectors[0]))
         assert [span.add(shape(v)) for v in vectors] == grew
-        assert span.pivots == pivots
-        assert span.rows == work[:len(pivots)]
+        assert (span.pivots, span.scale, span.entries) == (batch.pivots, batch.scale,
+                                                           batch.entries)
         for w, want in zip(vectors + probes, inside):
             assert [span.contains(x) for x in (w, *_as_mats(w))] == [want] * 3
 

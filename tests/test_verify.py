@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -159,7 +158,8 @@ def test_structure_match_is_exact_or_refused():
 def _full_scan_core(w):
     """Reference core: the columns of every basis-pair commutator (over the
     integers, basis scaled by the lcm of its denominators), then closure
-    under the basis, as the RREF rows of the span."""
+    under the basis, as the RREF basis of the span: n-by-1 matrices, like
+    the core it stands in for."""
     n = w.n
     _, rows = w.integer_basis()
     mats = [[row[i * n:(i + 1) * n] for i in range(n)] for row in rows]
@@ -170,13 +170,13 @@ def _full_scan_core(w):
                         for i in range(n))
             g = gcd(*col)
             if g:
-                cols.add(tuple(Fraction(x, g) for x in col))
+                cols.add(tuple(x // g for x in col))
     span = VectorSpan(n, sorted(cols))
     while True:
-        images = [(a @ Mat.column(r)).data for a in w.basis for r in span.rows]
-        grown = VectorSpan(n, span.rows + images)
+        members = span.members(n, 1)
+        grown = VectorSpan(n, members + [a @ u for a in w.basis for u in members])
         if grown.dim == span.dim:
-            return span.rows
+            return members
         span = grown
 
 
@@ -203,10 +203,11 @@ def test_commutator_core_agrees_with_full_scan():
         v = w.conjugate(_invertible(w.n, rng.randint(0, 10 ** 6)))
         for u in (v, v.transpose_space()):
             ref = _full_scan_core(u)
-            core = [tuple(r) for r in verify._commutator_core(u, k)]
+            core = verify._commutator_core(u, k)
+            assert all(c.rows == u.n and c.cols == 1 for c in core)
             assert VectorSpan(u.n, ref + core).dim == len(ref)  # core lies in C
             if len(ref) == k:
-                assert core == [tuple(r) for r in ref]
+                assert core == ref
 
 
 def test_structure_check_same_with_full_scan_core(monkeypatch):
