@@ -18,9 +18,9 @@ from .invariant_spaces import (InvariantSpaceSpec, SearchReport,
                                enumerate_invariant_spaces,
                                is_triangular_invariant, search_max_dimension,
                                split_bound, triangular_closure)
-from .linalg import (Mat, SingularMatrixError, charpoly_discriminant,
-                     commutator, mat_from_columns, random_matrix)
-from .numberfield import ExtensionLimitError, NumberField
+from .linalg import (Mat, SingularMatrixError, commutator, mat_from_columns,
+                     random_matrix)
+from .numberfield import ExtensionLimitError, NumberField, charpoly_discriminant
 from .subspace import MatrixSubspace, full_space, span, zero_space
 from .triangularize import (InconsistentFamilyError, InvariantFailureError,
                             RankOneFamily, TriangularizationResult,

@@ -4,7 +4,7 @@ Scalars are rationals, or sympy ``ANP`` elements of a number field
 (:mod:`crlab.numberfield`) after an extension has been adjoined; a tower of
 extensions is one field with a primitive element, so every matrix has one
 scalar type.  The kernels use only ring arithmetic, truthiness and
-equality, so they import no sympy.  Matrices are immutable and hashable,
+equality, so the module imports no sympy.  Matrices are immutable and hashable,
 and every operation is a pure function, so concurrent use is safe.
 
 Every matrix is one canonical form (scale, entries), entries row-major:
@@ -65,7 +65,6 @@ __all__ = [
     "Mat",
     "SingularMatrixError",
     "commutator",
-    "charpoly_discriminant",
     "probe_members",
     "random_matrix",
     "mat_from_columns",
@@ -168,6 +167,8 @@ class Mat:
     @classmethod
     def unit(cls, n, i, j):
         """Matrix unit with 1 at position (i, j), zero-based."""
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"unit {(i, j)} outside a {n}x{n} matrix")
         return cls.from_scaled(n, n, 1, [int(k == i * n + j) for k in range(n * n)])
 
     @classmethod
@@ -195,6 +196,8 @@ class Mat:
         return _scalars([self.entries[i * self.cols + j]], self.scale)[0]
 
     def row(self, i):
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a {self.rows}x{self.cols} matrix")
         return tuple(_scalars(self.entries[i * self.cols:(i + 1) * self.cols], self.scale))
 
     def block(self, r0, r1, c0, c1):
@@ -491,13 +494,6 @@ def commutator(a, b):
                            [e for r in _commutator_rows(a.entries, b.entries, n) for e in r])
 
 
-def _vector(v):
-    """A vector for a span: a Mat by its entries, read row-major, and a
-    sequence by the entries of its form (a nonzero multiple spans the same
-    line)."""
-    return v.entries if isinstance(v, Mat) else _form(v)[1]
-
-
 class VectorSpan:
     """The span of vectors over an exact field, kept as the scaled RREF of
     :func:`_echelon`: pivot columns, and row p of the RREF as
@@ -508,7 +504,15 @@ class VectorSpan:
 
     def __init__(self, length, vectors=()):
         self.length = length
-        self._reduce([_vector(v) for v in vectors])
+        self._reduce([self._vector(v) for v in vectors])
+
+    def _vector(self, v):
+        """A Mat's entries, read row-major, or a sequence's form's entries (a
+        nonzero multiple spans the same line), of the span's length."""
+        vec = v.entries if isinstance(v, Mat) else _form(v)[1]
+        if len(vec) != self.length:
+            raise ValueError(f"a vector of length {len(vec)} for a span of length {self.length}")
+        return vec
 
     def _reduce(self, rows):
         self.pivots, self.scale = _echelon(rows)
@@ -528,7 +532,7 @@ class VectorSpan:
         at every other pivot, so v is in the span iff v = sum_p v[p] row_p,
         that is L v == sum_p v[p] R_p: one :func:`_combine` over the rows'
         nonzero entries, built when first needed."""
-        vec = _vector(vec)
+        vec = self._vector(vec)
         if self._terms is None:
             self._terms = _sparse(self.entries)
         coeffs = (-self.scale, *(vec[p] for p in self.pivots))
@@ -539,7 +543,7 @@ class VectorSpan:
         of a span is unique, so the vector itself joins the rows."""
         if self.contains(vec):
             return False
-        self._reduce([*self.entries, _vector(vec)])
+        self._reduce([*self.entries, self._vector(vec)])
         return True
 
 
@@ -577,25 +581,14 @@ def adapted_basis(vectors, n):
 def block_diag(a, b):
     """The square matrix with square blocks a and b on its diagonal; the
     zero blocks take their zero from b's field (an empty b leaves none)."""
+    if not (a.is_square and b.is_square):
+        raise ValueError("block_diag needs square blocks")
     scale, (x, y) = _common_scale((a, b))
     zero = y[0] * 0 if y else 0
     top = [[*x[i * a.cols:(i + 1) * a.cols], *[zero] * b.cols] for i in range(a.rows)]
     bottom = [[*[zero] * a.cols, *y[i * b.cols:(i + 1) * b.cols]] for i in range(b.rows)]
     n = a.rows + b.rows
     return Mat.from_scaled(n, n, scale, [e for r in top + bottom for e in r])
-
-
-def charpoly_discriminant(m):
-    """Discriminant of the characteristic polynomial, computed by sympy;
-    nonzero iff the matrix has n distinct complex eigenvalues.  Rational
-    matrices only."""
-    coeffs = m.charpoly()
-    if not all(isinstance(c, Fraction) for c in coeffs):
-        raise ValueError("discriminant is defined for rational matrices only")
-    from sympy import QQ
-    from sympy.polys.euclidtools import dup_discriminant
-    d = dup_discriminant([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], QQ)
-    return Fraction(int(d.numerator), int(d.denominator))
 
 
 def probe_members(mats, rng, bound, count):

@@ -20,22 +20,28 @@ integration", 1976):
 The new field keeps the old one and the image of its theta, through which
 matrices over any earlier field of the tower embed.
 
-Field elements are sympy ``ANP`` values: polynomials in theta reduced modulo
-m, the only scalar type over an extension.  sympy is imported when first
-needed, and the sympy domain ``QQ.alg_field_from_poly(m)`` of a field is
-built only when a polynomial must be factored over it.  Polynomials passed
-in and out are little-endian sequences of coefficients.
+Field elements are sympy ``ANP`` values modulo L*m, L the lcm of the
+denominators of m: the primitive modulus of sympy's domain
+``QQ.alg_field_from_poly(m)``, which is built only when a polynomial must be
+factored over the field.  Only this module builds or reads sympy's
+polynomials, importing sympy when first needed; polynomials pass in and out
+as little-endian coefficient sequences, elements by :func:`coefficients`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .linalg import Mat
 
 __all__ = [
     "NumberField",
     "ExtensionLimitError",
+    "coefficients",
     "irreducible_factors",
     "adjoin_root",
+    "charpoly_discriminant",
 ]
 
 
@@ -47,7 +53,6 @@ class ExtensionLimitError(NotImplementedError):
 
 def _qq(q):
     from sympy import QQ
-    q = Fraction(q)
     return QQ(q.numerator, q.denominator)
 
 
@@ -55,11 +60,11 @@ def _fraction(c):
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _anp(rep, mod):
-    """The ANP with big-endian rational coefficients ``rep`` modulo ``mod``."""
-    from sympy import QQ
-    from sympy.polys.polyclasses import ANP
-    return ANP(rep, mod, QQ)
+def coefficients(x):
+    """The rational coefficients of a field element in powers of theta,
+    little-endian and padded to the degree."""
+    cs = [_fraction(c) for c in reversed(x.to_list())]
+    return cs + [Fraction(0)] * (len(x.mod) - 1 - len(cs))
 
 
 class NumberField:
@@ -79,7 +84,8 @@ class NumberField:
         self.minpoly = tuple(c / minpoly[-1] for c in minpoly)
         self.parent = parent
         self.parent_theta = None
-        self._mod = [_qq(c) for c in reversed(self.minpoly)]
+        lcm = math.lcm(*(c.denominator for c in self.minpoly))
+        self._mod = [_qq(c * lcm) for c in reversed(self.minpoly)]
         self._domain = None
 
     @property
@@ -90,7 +96,9 @@ class NumberField:
         """sum(coeffs[i] * theta**i) for at most ``degree`` rationals."""
         if len(coeffs) > self.degree:
             raise ValueError("more coefficients than the degree")
-        return _anp([_qq(c) for c in reversed(coeffs)], self._mod)
+        from sympy import QQ
+        from sympy.polys.polyclasses import ANP
+        return ANP([_qq(c) for c in reversed(coeffs)], self._mod, QQ)
 
     def zero(self):
         return self.element(())
@@ -117,24 +125,18 @@ class NumberField:
         return acc
 
     def embed_matrix(self, m):
-        from .linalg import Mat
-        return Mat(m.rows, m.cols, tuple(self.embed(x) for x in m.data))
+        return Mat.from_scaled(m.rows, m.cols, m.scale, [self.embed(x) for x in m.entries])
 
     @property
     def domain(self):
-        """sympy's QQ<theta>.  Its modulus may be a rational multiple of
-        ``minpoly``, so elements cross with :meth:`to_domain` and
-        :meth:`from_domain`."""
+        """sympy's QQ<theta>, whose elements are this field's."""
         if self._domain is None:
             from sympy import QQ, Dummy, Poly
-            self._domain = QQ.alg_field_from_poly(Poly(self._mod, Dummy("x"), domain=QQ))
+            domain = QQ.alg_field_from_poly(Poly(self._mod, Dummy("x"), domain=QQ))
+            if domain.mod.to_list() != self._mod:
+                raise ValueError(f"sympy's modulus for {self!r} is not {self._mod}")
+            self._domain = domain
         return self._domain
-
-    def to_domain(self, x):
-        return _anp(x.to_list(), self.domain.mod)
-
-    def from_domain(self, x):
-        return _anp(x.to_list(), self._mod)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -146,31 +148,25 @@ class NumberField:
         return f"NumberField(minpoly={[str(c) for c in self.minpoly]})"
 
 
-def _poly(coeffs, field, gen):
-    """sympy Poly in ``gen`` over Q (``field=None``) or over the field."""
-    from sympy import QQ, Poly
+def _poly(coeffs, field):
+    """sympy Poly in a fresh variable over Q (``field=None``) or over the field."""
+    from sympy import QQ, Dummy, Poly
     if field is None:
-        return Poly([_qq(c) for c in reversed(coeffs)], gen, domain=QQ)
-    return Poly([field.to_domain(field.embed(c)) for c in reversed(coeffs)], gen,
-                domain=field.domain)
+        return Poly([_qq(c) for c in reversed(coeffs)], Dummy("x"), domain=QQ)
+    return Poly([field.embed(c) for c in reversed(coeffs)], Dummy("x"), domain=field.domain)
 
 
 def irreducible_factors(coeffs, field=None):
     """Monic irreducible factors with multiplicities over Q (``field=None``)
     or over a number field, sorted by degree.  Over Q the linear factors
     x - r come by increasing r."""
-    from sympy import Dummy
-    poly = _poly(coeffs, field, Dummy("x"))
+    poly = _poly(coeffs, field)
     if poly.degree() < 1:
         raise ValueError("constant polynomial")
-    convert = _fraction if field is None else field.from_domain
-    out = [(tuple(map(convert, f.monic().rep.to_list()[::-1])), int(mult))
-           for f, mult in poly.factor_list()[1]]
-    if field is None:
-        out.sort(key=lambda fm: (len(fm[0]), [-c for c in fm[0]]))
-    else:
-        out.sort(key=lambda fm: len(fm[0]))
-    return out
+    out = [(tuple(f.monic().rep.to_list()[::-1]), int(mult)) for f, mult in poly.factor_list()[1]]
+    if field is None:  # x - r by increasing r, as the sort by degree below is stable
+        out = sorted(((tuple(map(_fraction, f)), m) for f, m in out), reverse=True)
+    return sorted(out, key=lambda fm: len(fm[0]))
 
 
 def adjoin_root(g, field=None):
@@ -183,8 +179,8 @@ def adjoin_root(g, field=None):
         return big, big.theta()
     from sympy import Dummy, Poly
     g = [field.embed(c) for c in g]
-    x, y = Dummy("x"), Dummy("y")
-    (s,), _, norm = _poly(g, field, x).sqf_norm()  # sympy >= 1.14: one shift per generator
+    y = Dummy("y")
+    (s,), _, norm = _poly(g, field).sqf_norm()  # sympy >= 1.14: one shift per generator
     big = NumberField([_fraction(c) for c in reversed(norm.rep.to_list())], field)
     dom = big.domain
     shifted = Poly([-s, dom.unit], y, domain=dom)  # beta - s*y
@@ -192,5 +188,15 @@ def adjoin_root(g, field=None):
     for c in reversed(g):
         h = h * shifted + Poly(c.to_list(), y, domain=dom)
     lead, tail = Poly(field._mod, y, domain=dom).gcd(h).rep.to_list()
-    big.parent_theta = big.from_domain(-tail / lead)
+    big.parent_theta = -tail / lead
     return big, big.theta() - big.parent_theta * s
+
+
+def charpoly_discriminant(m):
+    """Discriminant of the characteristic polynomial, computed by sympy;
+    nonzero iff the matrix has n distinct complex eigenvalues.  Rational
+    matrices only."""
+    coeffs = m.charpoly()
+    if not all(isinstance(c, Fraction) for c in coeffs):
+        raise ValueError("discriminant is defined for rational matrices only")
+    return _fraction(_poly(coeffs, None).rep.discriminant())

@@ -8,8 +8,8 @@ byte-identical for canonical input.
 
 Over a number field an entry is its list of rational coefficients in powers
 of theta, little-endian and padded to the degree, and the field is written
-as ``{"minpoly": [...]}``.  This module is where field elements (sympy
-``ANP`` values) become rationals.
+as ``{"minpoly": [...]}``, its entries read by
+:func:`crlab.numberfield.coefficients`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .linalg import Mat
-from .numberfield import NumberField
+from .numberfield import NumberField, coefficients
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -63,9 +63,7 @@ def _mat_to_rows(m):
 def _entry_jsonable(x):
     if isinstance(x, Fraction):
         return scalar_to_str(x)
-    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(x.to_list())]
-    coeffs += [Fraction(0)] * (len(x.mod) - 1 - len(coeffs))
-    return [scalar_to_str(c) for c in coeffs]
+    return [scalar_to_str(c) for c in coefficients(x)]
 
 
 def subspace_to_dict(v):

@@ -28,9 +28,9 @@ from itertools import combinations
 
 from .commrank import check_dimension_bound
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
-from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, charpoly_discriminant,
-                     commutator, mat_from_columns, probe_members)
-from .numberfield import irreducible_factors
+from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, commutator,
+                     mat_from_columns, probe_members)
+from .numberfield import charpoly_discriminant, irreducible_factors
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -150,7 +150,9 @@ def _match_block_form(w, k, seed, transposed):
     p1, p1_inv = adapted_basis(core, n)
     quotient = [(p1_inv @ a @ p1).block(k, n, k, n) for a in w.basis]
     m = n - k
-    nils = [q - Mat.identity(m) * (q.trace() / m) for q in quotient]
+    # L m (q - tr(q)/m I), L q's scale: each nilpotent part times a positive
+    # int, so the strip's span is the same and no Fraction is built
+    nils = [q * (m * q.scale) - Mat.identity(m) * sum(q.entries[::m + 1]) for q in quotient]
     strip = VectorSpan(m, [nil.block(0, m, j, j + 1) for nil in nils for j in range(m)])
     l = strip.dim
     if l in valid_splits(n, k):

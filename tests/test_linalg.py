@@ -12,9 +12,8 @@ from crlab import verify
 from crlab.constructions import extremal_space, rank_one_max_space
 from crlab.invariant_spaces import InvariantSpaceSpec, search_max_dimension
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
-                          charpoly_discriminant, commutator, mat_from_columns,
-                          probe_members, random_matrix)
-from crlab.numberfield import NumberField
+                          commutator, mat_from_columns, probe_members, random_matrix)
+from crlab.numberfield import NumberField, charpoly_discriminant, coefficients
 from crlab.subspace import span
 from crlab.triangularize import classify_rank_one_family
 
@@ -405,6 +404,37 @@ def test_getitem_checks_its_index():
             m[ij]
 
 
+def test_row_and_unit_check_their_index():
+    m = Mat.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert [m.row(i) for i in range(2)] == [(1, 2, 3), (4, 5, 6)]
+    for i in (2, 5, -1):
+        with pytest.raises(IndexError):
+            m.row(i)
+    assert Mat.unit(2, 1, 0) == Mat.from_rows([[0, 0], [1, 0]])
+    for i, j in ((2, 0), (-1, 0), (0, 2), (0, -1)):
+        with pytest.raises(IndexError):
+            Mat.unit(2, i, j)
+
+
+def test_block_diag_needs_square_blocks():
+    with pytest.raises(ValueError):
+        block_diag(Mat.from_rows([[1, 2]]), Mat.identity(1))
+    with pytest.raises(ValueError):
+        block_diag(Mat.identity(1), Mat.from_rows([[1], [2]]))
+
+
+def test_span_checks_vector_lengths():
+    with pytest.raises(ValueError, match="length 2 .* length 3"):
+        VectorSpan(3, [[1, 2]])
+    span = VectorSpan(3, [[1, 0, 0]])
+    for vec in ([1, 0], [1, 0, 0, 0], Mat.identity(2)):
+        with pytest.raises(ValueError, match="length 3"):
+            span.contains(vec)
+        with pytest.raises(ValueError, match="length 3"):
+            span.add(vec)
+    assert span.dim == 1 and span.contains(Mat.column([2, 0, 0]))
+
+
 def test_block_checks_its_bounds():
     eye = Mat.identity(3)
     assert eye.block(1, 1, 0, 3).rows == 0 and eye.block(0, 3, 2, 2).cols == 0
@@ -435,7 +465,10 @@ def _conjugated(v, seed):
     (lambda: InvariantSpaceSpec(3, frozenset({(1, 0)}), ((0, 1, 2),), frozenset({(1, 0)})),
      lambda spec: spec.realize().integer_basis()[0] == 2),
     (lambda: 5, lambda n: search_max_dimension(n, 2).matches_bound),
-], ids=["classify_rank_one_family", "commutator_core", "spec_realize", "search"])
+    (lambda: _conjugated(extremal_space(5, 2, 1), 6),
+     lambda v: verify.structure_check(v, 20, 0).status == "MATCHES_VK"),
+], ids=["classify_rank_one_family", "commutator_core", "spec_realize", "search",
+        "structure_check"])
 def test_no_fraction_between_kernels(monkeypatch, case):
     # a Fraction is built only where a scalar leaves the library (data,
     # __getitem__, row, trace, det, charpoly, serialize, sympy hand-offs)
@@ -488,7 +521,7 @@ def _over_cbrt2(rows, cols):
 def _domain_matrix(rows):
     """sympy's DomainMatrix over QQ<cbrt 2>; rational entries are embedded."""
     from sympy.polys.matrices import DomainMatrix
-    return DomainMatrix([[_CBRT2.to_domain(_CBRT2.embed(x)) for x in r] for r in rows],
+    return DomainMatrix([[_CBRT2.embed(x) for x in r] for r in rows],
                         (len(rows), len(rows[0])), _CBRT2.domain)
 
 
@@ -496,7 +529,7 @@ def _domain_rows(m):
     """The rows of a matrix over Q(cbrt 2) as sympy domain elements; every
     entry must be a field element (a kernel sum started from the int 0 too)."""
     assert all(x.mod == _CBRT2.one().mod for x in m.data)
-    return [[_CBRT2.to_domain(x) for x in m.row(i)] for i in range(m.rows)]
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,7 +553,7 @@ def test_commutator_over_a_number_field_agrees_with_sympy(pair):
 
 def _gaussian(rows):
     """Rows of Q(i) elements as a sympy matrix over the Gaussian rationals."""
-    return sympy.Matrix([[_q(a) + _q(b) * sympy.I for a, b in map(_coeffs, r)] for r in rows])
+    return sympy.Matrix([[_q(a) + _q(b) * sympy.I for a, b in map(coefficients, r)] for r in rows])
 
 
 def _assert_span_is_sympy_rref(span, vectors):
@@ -686,12 +719,6 @@ def test_charpoly_constant_term_is_det(rows):
 _QI = NumberField([1, 0, 1])
 
 
-def _coeffs(x):
-    """The two rational coordinates a, b of x = a + b*i in Q(i)."""
-    cs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(x.to_list())]
-    return cs + [Fraction(0)] * (2 - len(cs))
-
-
 def _rank(vectors):
     """Rank by Bareiss elimination over Q; a Q(i) vector v = a + ib enters as
     the rational rows of v and i*v, which doubles the rank."""
@@ -700,7 +727,7 @@ def _rank(vectors):
     if isinstance(vectors[0][0], Fraction):
         return Mat.from_rows(vectors).rank()
     i = _QI.theta()
-    real = [[c for x in u for c in _coeffs(x)]
+    real = [[c for x in u for c in coefficients(x)]
             for v in vectors for u in (v, [i * x for x in v])]
     return Mat.from_rows(real).rank() // 2
 

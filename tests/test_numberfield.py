@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from sympy.polys.polyerrors import NotInvertible, UnificationFailed
 
-from crlab.linalg import Mat
-from crlab.numberfield import NumberField, adjoin_root, irreducible_factors
+from crlab.linalg import Mat, block_diag
+from crlab.numberfield import NumberField, adjoin_root, coefficients, irreducible_factors
+from crlab.subspace import span
+from crlab.triangularize import triangularize_rank_one, verify_triangular
 
 F = Fraction
 
@@ -139,6 +141,36 @@ def test_embedding_through_two_levels():
     r2 = M.embed(K.theta())
     assert r2 * r2 == M.from_rational(2)
     assert M.embed(L.parent_theta) == r2
+
+
+def test_a_minpoly_with_denominators():
+    # Q(sqrt(1/2)): minpoly x^2 - 1/2, kept modulo 2x^2 - 1 as sympy keeps it
+    K = NumberField((F(-1, 2), 0, 1))
+    t = K.theta()
+    assert K.minpoly == (F(-1, 2), 0, 1) and t * t == K.from_rational(F(1, 2))
+    assert K.domain.mod.to_list() == t.mod == [2, 0, -1]
+    factors = irreducible_factors((F(-1, 2), 0, 1), K)
+    assert [(len(f) - 1, mult) for f, mult in factors] == [(1, 1), (1, 1)]
+    assert set(_roots((F(-1, 2), 0, 1), K)) == {t, -t}
+    L, alpha = adjoin_root((F(-1, 3), 0, 1), K)
+    assert L.degree == 4 and L.minpoly == (F(1, 36), 0, F(-5, 3), 0, 1)
+    assert L.parent_theta * L.parent_theta == L.from_rational(F(1, 2))
+    assert alpha * alpha == L.from_rational(F(1, 3))
+    assert coefficients(t) == [0, 1] and coefficients(K.from_rational(F(-3, 2))) == [F(-3, 2), 0]
+    assert coefficients(L.zero()) == [0] * 4
+    # two commuting blocks with eigenvalues +-sqrt(1/2) and +-sqrt(1/3)
+    half = Mat.from_rows([[0, F(1, 2)], [1, 0]])  # companion matrices of x^2 - 1/2 and x^2 - 1/3
+    third = Mat.from_rows([[0, F(1, 3)], [1, 0]])
+    v = span([block_diag(half, Mat.zero(2)), block_diag(Mat.zero(2), third)])
+    res = triangularize_rank_one(v)
+    assert res.field.degree == 4 and verify_triangular(v, res.P)
+
+
+def test_domain_refuses_a_modulus_sympy_does_not_keep():
+    K = NumberField((F(-1, 2), 0, 1))
+    K._mod = [c / 2 for c in K._mod]  # the monic x^2 - 1/2
+    with pytest.raises(ValueError, match="modulus"):
+        K.domain
 
 
 def test_matrix_over_extension():

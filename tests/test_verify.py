@@ -7,8 +7,8 @@ from crlab.constructions import (exceptional_extremal_space, extremal_space,
                                  firstcol_zero_space, flanders_space,
                                  lastrow_zero_space, rank_one_max_space,
                                  schur_space, valid_splits)
-from crlab.linalg import (Mat, VectorSpan, block_diag, charpoly_discriminant,
-                          commutator, random_matrix)
+from crlab.linalg import Mat, VectorSpan, block_diag, commutator, random_matrix
+from crlab.numberfield import charpoly_discriminant
 from crlab.subspace import span, zero_space
 from crlab.verify import (algebra_structure_report, find_distinct_eigenvalue_element,
                           flanders_check, structure_check)
