@@ -34,8 +34,6 @@ from .triangularize import (InconsistentFamilyError, InvariantFailureError,
                             triangularize_rank_one, verify_triangular)
 from .verify import structure_check
 
-_FAMILIES = ("schur", "vk", "vk-t", "thm2-lastrow", "thm2-firstcol",
-             "rank1max", "flanders")
 # parsed arguments a report does not echo under "args": the verb, its
 # function and the output path; seed and trials sit at the top level
 _UNECHOED = frozenset(("command", "func", "output", "seed", "trials"))
@@ -87,7 +85,6 @@ def _cmd_analyze(args):
     results = {
         "ambient": v.n,
         "dim": v.dim,
-        "profile": to_jsonable(bound_report.profile),
         "bound_report": to_jsonable(bound_report),
     }
     ok = bound_report.status == "PASS"
@@ -116,7 +113,6 @@ def _cmd_triangularize(args):
         return {"error": error}, False
     return {
         "P": to_jsonable(res.P),
-        "chain_dims": list(res.chain_dims),
         "field": to_jsonable(res.field),
         "verified_upper_triangular": verify_triangular(v, res.P),
     }, True
@@ -181,9 +177,12 @@ def _parser():
     p = argparse.ArgumentParser(prog="crlab",
                                 description="exact commutator-rank toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    sampled = argparse.ArgumentParser(add_help=False)  # the sampling verbs' options
+    sampled.add_argument("--trials", type=int, default=32)
+    sampled.add_argument("--seed", type=int, default=2024)
 
     c = sub.add_parser("construct", help="write a named space as a JSON file")
-    c.add_argument("--family", required=True, choices=_FAMILIES)
+    c.add_argument("--family", required=True, choices=tuple(constructions.FAMILIES))
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int)
     c.add_argument("--l", type=int)
@@ -191,10 +190,9 @@ def _parser():
     c.add_argument("-o", "--output", required=True)
     c.set_defaults(func=_cmd_construct)
 
-    a = sub.add_parser("analyze", help="commutator profile and bound check")
+    a = sub.add_parser("analyze", parents=[sampled],
+                       help="commutator profile and bound check")
     a.add_argument("file")
-    a.add_argument("--trials", type=int, default=32)
-    a.add_argument("--seed", type=int, default=2024)
     a.add_argument("--k", type=int, help="also test the rank condition at k")
     a.add_argument("-o", "--output")
     a.set_defaults(func=_reporting(_cmd_analyze))
@@ -205,20 +203,18 @@ def _parser():
     t.add_argument("-o", "--output")
     t.set_defaults(func=_reporting(_cmd_triangularize))
 
-    s = sub.add_parser("search", help="exhaustive invariant-space search")
+    s = sub.add_parser("search", parents=[sampled],
+                       help="exhaustive invariant-space search")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--trials", type=int, default=32)
-    s.add_argument("--seed", type=int, default=2024)
     s.add_argument("--rules", choices=("full",), default="full",
                    help="the closure rule set ('full' is the only one)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=_reporting(_cmd_search))
 
-    vs = sub.add_parser("verify-structure", help="equality-case structure test")
+    vs = sub.add_parser("verify-structure", parents=[sampled],
+                        help="equality-case structure test")
     vs.add_argument("file")
-    vs.add_argument("--trials", type=int, default=32)
-    vs.add_argument("--seed", type=int, default=2024)
     vs.add_argument("-o", "--output")
     vs.set_defaults(func=_reporting(_cmd_verify_structure))
 

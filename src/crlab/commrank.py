@@ -44,14 +44,9 @@ ENTRY_BOUND = 10 ** 6
 @dataclass(frozen=True)
 class CommutatorProfile:
     probable_max: int
-    certified_lower: int
-    witness: tuple  # (A, B) attaining certified_lower
+    witness: tuple  # (A, B) attaining probable_max
     trials: int
     seed: int
-
-    def __post_init__(self):
-        if self.certified_lower > self.probable_max:
-            raise ValueError("certified lower bound above probable max")
 
     def verdict(self, k):
         """The rank condition at k read off this scan: CERTIFIED_NO with the
@@ -119,16 +114,12 @@ def _scan(v, trials, seed, stop_above):
             if r > stop_above:
                 break
     witness = tuple(Mat.from_scaled(n, n, scale, m) for m in (a_best, b_best))
-    return CommutatorProfile(probable_max=best, certified_lower=best,
-                             witness=witness, trials=trials, seed=seed)
+    return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed)
 
 
 def max_commutator_rank(v, trials, seed):
-    """Sampled maximum of rank[A, B]; the maximizing pair is kept as witness.
-
-    Exact ranks throughout, so certified_lower == probable_max and the stored
-    pair reproduces it under recomputation.  Deterministic in (v, trials, seed).
-    """
+    """Sampled maximum of rank[A, B]; the maximizing pair is kept as witness
+    and reproduces ``probable_max``.  Deterministic in (v, trials, seed)."""
     return _scan(v, trials, seed, v.n - 1)
 
 

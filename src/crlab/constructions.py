@@ -140,6 +140,8 @@ def rank_one_max_space(n, variant, l=None):
         return extremal_space(n, 1, _split(n, 1, l))
     if variant not in _RANK1_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if l is not None:
+        raise ValueError(f"variant {variant!r} takes no split l")
     need_n, tag = _RANK1_VARIANTS[variant]
     if n != need_n:
         raise ValueError(f"variant {variant!r} requires n = {need_n}")
@@ -207,23 +209,29 @@ def bidiagonal_commutator_diagonal(n, lambdas, mus):
 
 # -- family dispatch (CLI surface) --------------------------------------------
 
+# the arguments each family of ``construct --family`` reads besides n
+FAMILIES = {"schur": (), "vk": ("k", "l"), "vk-t": ("k", "l"),
+            "thm2-lastrow": (), "thm2-firstcol": (),
+            "rank1max": ("l", "variant"), "flanders": ("k",)}
+
+
 def build_family(family, n, k=None, l=None, variant=None):
-    """The space the CLI's ``construct --family`` names, from its arguments."""
-    if family == "schur":
-        return schur_space(n)
+    """The space the CLI's ``construct --family`` names, from its arguments;
+    an argument the family does not read is an error, not ignored."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    unread = [name for name, value in (("k", k), ("l", l), ("variant", variant))
+              if value is not None and name not in FAMILIES[family]]
+    if unread:
+        raise ValueError(f"family {family} does not read {', '.join(unread)}")
+    if k is None and "k" in FAMILIES[family]:
+        raise ValueError(f"family {family} needs k")
     if family in ("vk", "vk-t"):
-        if k is None:
-            raise ValueError("family vk needs k")
         v = extremal_space(n, k, _split(n, k, l))
         return v.transpose_space() if family == "vk-t" else v
-    if family == "thm2-lastrow":
-        return lastrow_zero_space(n)
-    if family == "thm2-firstcol":
-        return firstcol_zero_space(n)
     if family == "rank1max":
         return rank_one_max_space(n, variant or "generic", l)
     if family == "flanders":
-        if k is None:
-            raise ValueError("family flanders needs k")
         return flanders_space(n, n, k)
-    raise ValueError(f"unknown family {family!r}")
+    return {"schur": schur_space, "thm2-lastrow": lastrow_zero_space,
+            "thm2-firstcol": firstcol_zero_space}[family](n)

@@ -91,6 +91,9 @@ class InvariantSpaceSpec:
     forced_diffs: frozenset = frozenset()  # (i, j), i > j: generator e_i - e_j
 
     def __post_init__(self):
+        # as sets whatever was passed: hashable, and a repeat counts once in dim
+        object.__setattr__(self, "units", frozenset(self.units))
+        object.__setattr__(self, "forced_diffs", frozenset(self.forced_diffs))
         for (i, j) in self.units:
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"bad unit position {(i, j)}")

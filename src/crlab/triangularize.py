@@ -94,7 +94,6 @@ class RankOneFamily:
 @dataclass(frozen=True)
 class TriangularizationResult:
     P: Mat
-    chain_dims: tuple
     field: NumberField | None  # None while the change of basis is rational
 
 
@@ -218,7 +217,7 @@ def triangularize_rank_one(v):
     classify_rank_one_family(v)  # raises InconsistentFamilyError on a bad family
     p, field = _triangularize_family(list(v.basis), v.n, None,
                                      random.Random(_COMBO_SEED))
-    return TriangularizationResult(P=p, chain_dims=tuple(range(1, v.n + 1)), field=field)
+    return TriangularizationResult(P=p, field=field)
 
 
 def verify_triangular(v, p):

@@ -117,6 +117,22 @@ def test_analyze_every_family(tmp_path, capsys):
         assert code in (0, 1)  # flanders full band can exceed a sampled level
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["--family", "schur", "--n", "4", "--k", "2", "--l", "9", "--variant", "bogus"],
+     "k, l, variant"),
+    (["--family", "vk", "--n", "5", "--k", "2", "--variant", "diag3"], "variant"),
+    (["--family", "rank1max", "--n", "5", "--k", "3"], "k"),
+    (["--family", "flanders", "--n", "3", "--k", "2", "--variant", "diag3"], "variant")],
+    ids=("schur", "vk", "rank1max", "flanders"))
+def test_construct_rejects_arguments_its_family_does_not_read(tmp_path, capsys, argv, unread):
+    out = tmp_path / "v.json"
+    assert run_cli("construct", *argv, "-o", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    message = json.loads(captured.err)["error"]["message"]
+    assert message == f"family {argv[1]} does not read {unread}"
+
+
 def test_search_command(tmp_path, capsys):
     code = run_cli("search", "--n", "3", "--k", "1", "--seed", "1")
     captured = capsys.readouterr()
@@ -183,7 +199,6 @@ def test_triangularize_command(tmp_path, capsys):
     assert code == 0
     res = json.loads(captured.out)["results"]
     assert res["verified_upper_triangular"] is True
-    assert res["chain_dims"] == [1, 2, 3, 4]
 
 
 def test_triangularize_inconsistent_error(tmp_path, capsys):
@@ -300,16 +315,24 @@ def test_report_envelope_of_each_verb(tmp_path, capsys):
     write_subspace(v, extremal_space(4, 1, 1))
     write_subspace(bad, span([Mat.unit(2, 0, 1), Mat.unit(2, 1, 0)]))
     sampled = ["--trials", "8", "--seed", "5"]
-    cases = [(["analyze", str(v), "--k", "1", *sampled], {"file": str(v), "k": 1}),
-             (["triangularize", str(v)], {"file": str(v)}),
-             (["triangularize", str(bad)], {"file": str(bad)}),
-             (["search", "--n", "3", "--k", "1", *sampled], {"n": 3, "k": 1, "rules": "full"}),
-             (["verify-structure", str(v), *sampled], {"file": str(v)})]
-    for argv, echo in cases:
+    # the results keys of each verb are pinned: a field that comes back fails here
+    structure = {"status", "k_hat", "l", "tag", "chain_dims", "witness_basis", "transposed",
+                 "detail"}
+    cases = [(["analyze", str(v), "--k", "1", *sampled], {"file": str(v), "k": 1},
+              {"ambient", "dim", "bound_report", "rank_condition"}),
+             (["triangularize", str(v)], {"file": str(v)},
+              {"P", "field", "verified_upper_triangular"}),
+             (["triangularize", str(bad)], {"file": str(bad)}, {"error"}),
+             (["search", "--n", "3", "--k", "1", *sampled], {"n": 3, "k": 1, "rules": "full"},
+              {"n", "k", "bound", "max_dim", "argmax", "matches_bound", "trials", "seed",
+               "counts"}),
+             (["verify-structure", str(v), *sampled], {"file": str(v)}, structure)]
+    for argv, echo, results in cases:
         run_cli(*argv)
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == argv[0]
         assert report["args"] == echo
+        assert set(report["results"]) == results, argv[0]
         if argv[0] == "triangularize":
             assert set(report) == {"command", "args", "results", "wall_time_ms"}
         else:

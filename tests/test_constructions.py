@@ -127,6 +127,8 @@ def test_rank_one_max_variant_guards():
         rank_one_max_space(4, "diag2")
     with pytest.raises(ValueError):
         rank_one_max_space(4, "no_such_variant")
+    with pytest.raises(ValueError):  # only the generic variant has a split
+        rank_one_max_space(4, "diag3", 2)
 
 
 def test_commutative_exceptional_spaces():
@@ -219,3 +221,5 @@ def test_family_dispatch():
         build_family("vk", 5)
     with pytest.raises(ValueError):
         build_family("unknown", 3)
+    with pytest.raises(ValueError, match="family thm2-lastrow does not read k"):
+        build_family("thm2-lastrow", 3, k=1)

@@ -95,6 +95,16 @@ def test_spec_validates_differences_and_keeps_blocks_canonical():
     assert mixed.sort_key() == (sorted(mixed.units), ((0, 2), (1, 3)), [])
 
 
+def test_spec_stores_its_sets_as_frozensets():
+    # a set must not make the spec unhashable, nor a repeated position count twice
+    want = InvariantSpaceSpec(2, frozenset({(0, 1)}), ((0,), (1,)), frozenset({(1, 0)}))
+    for units, diffs in (({(0, 1)}, {(1, 0)}), ([(0, 1), (0, 1)], [(1, 0), (1, 0)])):
+        spec = InvariantSpaceSpec(2, units, ((0,), (1,)), diffs)
+        assert spec == want and hash(spec) == hash(want)
+        assert spec.dim == 3 == len(spec.integer_basis()[1])
+    assert InvariantSpaceSpec(2, want.units, ((0,), (1,))).units is want.units
+
+
 def test_spec_integer_basis_matches_realized():
     rng = random.Random(43)
     specs = [s for n in range(2, 7) for s in enumerate_invariant_spaces(n)]
