@@ -12,6 +12,18 @@ witness.  A verdict read off a full profile has the same status (same draws),
 but its witness is the maximizing pair, which differs from the first pair
 above k when the running maximum passes k in more than one step.
 
+A scan also stops at a proven ceiling, which changes neither its profile
+nor any verdict.  Let [a, b] be a pair that raised the running maximum to
+r and W the column span of [a, b], so dim W = r.  If W is invariant under
+V, every A in V acts on Q^n / W as some A', and the quotient map P has
+PA = A'P.  If moreover the A' commute, then P[A, B] = [A', B']P = 0, so
+every commutator has its columns in W and rank at most r: V lies in a
+compression space (Atkinson and Lloyd, "Large spaces of matrices of
+bounded rank", 1980).  Later pairs can only tie r, and a tie does not
+replace the kept pair, so the scan stops.  The row side is the same test
+on the transposes.  Each extremal space V_{k,l} passes with its
+k-dimensional core as W, and its transpose passes on the row side.
+
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
 commutator of two generic elements are computed by sympy as polynomials in the
 2*dim coordinates and tested for identical vanishing, which decides the rank
@@ -23,8 +35,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import mul
 
-from .linalg import Mat, _bareiss, _combine, _commutator_rows, _sparse
+from .linalg import Mat, _bareiss, _combine, _commutator_rows, _echelon, _sparse
 
 __all__ = [
     "CommutatorProfile",
@@ -50,7 +63,10 @@ class CommutatorProfile:
 
     def verdict(self, k):
         """The rank condition at k read off this scan: CERTIFIED_NO with the
-        profile's pair as witness when probable_max > k, else PROBABLE_YES."""
+        profile's pair as witness when probable_max > k, else PROBABLE_YES;
+        requires 0 <= k < n."""
+        if not 0 <= k < self.witness[0].rows:
+            raise ValueError("need 0 <= k < n")
         if self.probable_max > k:
             return RankVerdict("CERTIFIED_NO", k, self.trials, self.seed,
                                witness=self.witness, witness_rank=self.probable_max)
@@ -89,7 +105,8 @@ def _scan(v, trials, seed, stop_above):
     ``v`` is anything with ``n`` and ``integer_basis()`` (a MatrixSubspace or
     an InvariantSpaceSpec).  Each trial draws the d coefficients of A, then
     the d coefficients of B; a pair is kept if its exact commutator rank beats
-    every earlier one, and sampling stops once a rank exceeds ``stop_above``.
+    every earlier one, and sampling stops once a rank exceeds ``stop_above``,
+    or once :func:`_proves_ceiling` shows that no pair can beat the kept one.
     The basis is scaled by the lcm of its denominators, which changes no
     commutator rank, so pairs are combined, commuted and ranked over Python
     ints; its rows are stripped to their nonzero entries once per scan, so
@@ -99,22 +116,66 @@ def _scan(v, trials, seed, stop_above):
         raise ValueError("trials must be >= 1")
     n = v.n
     size = n * n
-    scale, rows = v.integer_basis()
-    rows = _sparse(rows)
+    scale, basis = v.integer_basis()
+    rows = _sparse(basis)
     rng = random.Random(seed)
     bound = ENTRY_BOUND
     best, a_best, b_best = -1, None, None
-    for _ in range(trials):
+    for left in range(trials - 1, -1, -1):
         ca = [rng.randint(-bound, bound) for _ in rows]
         cb = [rng.randint(-bound, bound) for _ in rows]
         a, b = _combine(rows, ca, size), _combine(rows, cb, size)
         r = _bareiss(_commutator_rows(a, b, n))[0]
         if r > best:
             best, a_best, b_best = r, a, b
-            if r > stop_above:
+            if r > stop_above or (left and _proves_ceiling(basis, a, b, n)):
                 break
     witness = tuple(Mat.from_scaled(n, n, scale, m) for m in (a_best, b_best))
     return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed)
+
+
+def _proves_ceiling(basis, a, b, n):
+    """Is rank [A, B] <= rank [a, b] for every A, B in span(basis)?  True
+    when the columns, or else the rows, of every commutator lie in those of
+    [a, b]; False says nothing.  Flat row-major integer matrices."""
+    comm = _commutator_rows(a, b, n)
+    if _commutators_inside(basis, list(zip(*comm)), n):
+        return True
+    transposed = [[x for j in range(n) for x in m[j::n]] for m in basis]
+    return _commutators_inside(transposed, comm, n)
+
+
+def _commutators_inside(mats, vectors, n):
+    """Do the columns of every commutator of span(mats) lie in W =
+    span(vectors)?  ``mats`` are flat row-major integer n-by-n matrices and
+    ``vectors`` integer length-n sequences; False when W is not invariant
+    under every M in ``mats`` or the quotient family on Q^n / W does not
+    commute, though the columns may still lie in W.
+
+    W is kept as the scaled RREF of :func:`~crlab.linalg._echelon`, rows R_i
+    over L with pivots p_i.  L times the quotient map reads x at the free
+    columns c as L x_c - sum_i x_{p_i} R_i[c]; on the columns of M that is
+    the matrix S_M whose row c combines row c of M with the rows p_i.  W is
+    invariant under M iff S_M R_i = 0 for every i, and then S_M's free
+    columns are L times the quotient matrix of M.  Commuting is bilinear, so
+    it is tested on a basis of the quotient matrices' span only.
+    """
+    w = [list(x) for x in vectors]
+    pivots, scale = _echelon(w)
+    w = w[:len(pivots)]
+    free = [c for c in range(n) if c not in pivots]
+    quotients = []
+    for m in mats:
+        m_rows = _sparse(m[i:i + n] for i in range(0, n * n, n))
+        picked = [m_rows[p] for p in pivots]
+        s = [_combine([m_rows[c], *picked], [scale, *(-r[c] for r in w)], n) for c in free]
+        if any(sum(map(mul, row, r)) for row in s for r in w):
+            return False
+        quotients.append([row[c] for row in s for c in free])
+    spanning = quotients[:len(_echelon(quotients)[0])]
+    t = len(free)
+    return not any(any(map(any, _commutator_rows(x, y, t)))
+                   for i, x in enumerate(spanning) for y in spanning[i + 1:])
 
 
 def max_commutator_rank(v, trials, seed):

@@ -76,12 +76,10 @@ class InconsistentFamilyError(ValueError):
 
 class InvariantFailureError(ValueError):
     """Neither the kernel nor the range of the singular pivot member is
-    invariant; carries the offending member and vector as a witness."""
+    invariant; carries a member that moves the range as a witness."""
 
-    def __init__(self, shift, member, vector):
-        self.shift = shift
+    def __init__(self, member):
         self.member = member
-        self.vector = vector
         super().__init__("no invariant subspace from the singular member")
 
 
@@ -180,12 +178,11 @@ def _column_space(m):
 
 def _is_invariant(mats, vectors):
     """Is span(vectors) invariant under every matrix?  Returns an offending
-    (matrix, vector) witness or None."""
+    matrix as a witness, or None."""
     span = VectorSpan(vectors[0].rows, vectors)
     for a in mats:
-        for u in vectors:
-            if not span.contains(a @ u):
-                return a, u
+        if not all(span.contains(a @ u) for u in vectors):
+            return a
     return None
 
 
@@ -200,7 +197,7 @@ def _triangularize_family(mats, n, field, rng):
         subspace = _column_space(b0)
         bad = _is_invariant(mats, subspace)
         if bad is not None:
-            raise InvariantFailureError(b0, bad[0], bad[1])
+            raise InvariantFailureError(bad)
     m = len(subspace)
     p1, p1_inv = adapted_basis(subspace, n)
     conj = [p1_inv @ a @ p1 for a in mats]

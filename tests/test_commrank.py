@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from crlab import commrank
 from crlab.commrank import (certify_rank_condition_symbolic,
                             check_dimension_bound, dimension_bound,
                             max_commutator_rank, satisfies_rank_condition)
-from crlab.constructions import (extremal_space, lastrow_zero_space,
+from crlab.constructions import (exceptional_extremal_space, extremal_space,
+                                 firstcol_zero_space, lastrow_zero_space,
                                  schur_space)
 from crlab.invariant_spaces import InvariantSpaceSpec
 from crlab.linalg import Mat, commutator, random_matrix
@@ -39,6 +41,15 @@ def test_profile_witness_reproduces():
     p = max_commutator_rank(lastrow_zero_space(4), 16, 9)
     a, b = p.witness
     assert commutator(a, b).rank() == p.probable_max
+
+
+def test_profile_verdict_needs_k_in_range():
+    p = max_commutator_rank(schur_space(3), 4, 1)
+    assert p.verdict(0).status == "PROBABLE_YES"
+    assert p.verdict(2).status == "PROBABLE_YES"
+    for k in (-1, 3, 7):
+        with pytest.raises(ValueError):
+            p.verdict(k)
 
 
 def test_rank_condition_schur_probable_yes_and_exhaustive_zero():
@@ -255,25 +266,45 @@ def _reference_scan(basis, n, trials, seed, stop_above):
     return best, pair, used
 
 
-def test_scan_matches_a_fraction_loop_draw_for_draw():
+def _conjugated(v, rng):
+    q = random_matrix(v.n, v.n, 4, rng.randint(0, 10 ** 6))
+    while q.det() == 0:
+        q = random_matrix(v.n, v.n, 4, rng.randint(0, 10 ** 6))
+    return v.conjugate(q)
+
+
+def test_scan_matches_a_fraction_loop_draw_for_draw(monkeypatch):
     rng = random.Random(53)
-    spaces = []
-    for n, k, l in ((4, 1, 1), (5, 2, 1), (6, 2, 2)):
-        q = random_matrix(n, n, 4, rng.randint(0, 10 ** 6))
-        while q.det() == 0:
-            q = random_matrix(n, n, 4, rng.randint(0, 10 ** 6))
-        spaces.append((extremal_space(n, k, l).conjugate(q), None))
+    spaces = [(_conjugated(extremal_space(n, k, l), rng), None)
+              for n, k, l in ((4, 1, 1), (5, 2, 1), (6, 2, 2))]
     spec = InvariantSpaceSpec(4, frozenset({(0, 1), (0, 3), (2, 3), (1, 2)}),
                               ((0, 2), (1, 3)), frozenset({(2, 0)}))
     spaces.append((spec, spec.realize().basis))
+    # spaces whose rank ceiling is proven by the column side or the row side
+    ceilinged = [_conjugated(v, rng) for v in (
+        extremal_space(4, 0, 2), extremal_space(5, 2, 1).transpose_space(),
+        lastrow_zero_space(4), firstcol_zero_space(4),
+        exceptional_extremal_space(4, 1, "nil2"))]
+    spaces += [(v, None) for v in ceilinged]
     assert any(x.denominator > 1 for b in spaces[0][0].basis for x in b.data)
+    ceilings = []  # every result of the scan's ceiling test
+    proves = commrank._proves_ceiling
+
+    def recording(*args):
+        ceilings.append(proves(*args))
+        return ceilings[-1]
+
+    monkeypatch.setattr(commrank, "_proves_ceiling", recording)
     for v, basis in spaces:
         basis = v.basis if basis is None else basis
         for seed in range(3):
+            ceilings.clear()
             best, pair, _ = _reference_scan(basis, v.n, 6, seed, v.n - 1)
             profile = max_commutator_rank(v, 6, seed)
             assert profile.probable_max == best
             assert profile.witness == pair
+            if any(v is w for w in ceilinged):
+                assert ceilings == [True]
     # a rank-condition scan that stops at the first pair above k
     stopped = 0
     for v, basis in spaces:
@@ -286,3 +317,70 @@ def test_scan_matches_a_fraction_loop_draw_for_draw():
                 assert (verdict.witness, verdict.witness_rank) == (pair, best)
                 stopped += used < 12
     assert stopped
+
+
+def test_scan_stops_at_a_proven_ceiling(monkeypatch):
+    # every commutator of V_{2,1} has its columns in the 2-dimensional core,
+    # so the first pair of rank 2 ends the scan: one elimination, not 32
+    v = _conjugated(extremal_space(5, 2, 1), random.Random(59))
+    eliminations = []
+    bareiss = commrank._bareiss
+
+    def counting(rows):
+        eliminations.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(commrank, "_bareiss", counting)
+    profile = max_commutator_rank(v, 32, 3)
+    assert profile.probable_max == 2 and profile.trials == 32
+    assert len(eliminations) == 1
+
+
+def _stacked_commutator_rank(v, side):
+    """Sympy's rank of every basis-pair commutator of v, stacked side by
+    side ("columns": the rank of their joint column span) or one above the
+    other ("rows")."""
+    comms = [sympy.Matrix(v.n, v.n, [sympy.Rational(x.numerator, x.denominator)
+                                     for x in commutator(a, b).data])
+             for i, a in enumerate(v.basis) for b in v.basis[i + 1:]]
+    if not comms:
+        return 0
+    return (sympy.Matrix.hstack if side == "columns" else sympy.Matrix.vstack)(*comms).rank()
+
+
+def test_ceiling_is_sound_against_sympy():
+    rng = random.Random(61)
+    spaces = [extremal_space(4, 0, 2), extremal_space(5, 2, 1),
+              extremal_space(5, 2, 1).transpose_space(), lastrow_zero_space(4),
+              firstcol_zero_space(4), exceptional_extremal_space(4, 1, "diag"),
+              schur_space(4), full_space(3)]
+    spaces += [span([random_matrix(4, 4, 2, rng.randint(0, 10 ** 6)) for _ in range(d)])
+               for d in (2, 3)]
+    spaces += [span([E(4, 0, 1), E(4, 1, 2), E(4, 2, 3)])]  # a chain of rank-one commutators
+    fired = set()
+    for v in [_conjugated(w, rng) for w in spaces]:
+        n, (_, basis) = v.n, v.integer_basis()
+        transposed = [[x for j in range(n) for x in m[j::n]] for m in basis]
+        for bound in (10 ** 6, 2, 1):
+            a, b = (v.random_element(rng, bound).entries for _ in range(2))
+            comm = commrank._commutator_rows(a, b, n)
+            r = sympy.Matrix(comm).rank()
+            for side, mats, vectors in (("columns", basis, list(zip(*comm))),
+                                        ("rows", transposed, comm)):
+                if commrank._commutators_inside(mats, vectors, n):
+                    fired.add(side)
+                    assert _stacked_commutator_rank(v, side) <= r
+    assert fired == {"columns", "rows"}
+
+
+def test_ceiling_refuses_a_commutator_below_the_maximum():
+    for n, k, l in ((4, 2, 1), (5, 2, 1), (5, 3, 1)):
+        v = _conjugated(extremal_space(n, k, l), random.Random(n * k))
+        _, basis = v.integer_basis()
+        below = 0
+        for i, a in enumerate(basis):
+            for b in basis[i + 1:]:
+                if commutator(*(Mat(n, n, m) for m in (a, b))).rank() < k:
+                    below += 1
+                    assert not commrank._proves_ceiling(basis, a, b, n)
+        assert below
