@@ -6,16 +6,28 @@ the basis is the reduced-row-echelon one, entries are reduced, denominators
 of 1 are omitted, and the JSON layout is fixed, so write(read(f)) is
 byte-identical for canonical input.
 
-Over a number field an entry is its list of rational coefficients in powers
-of theta, little-endian and padded to the degree, and the field is written
-as ``{"minpoly": [...]}``, its entries read by
-:func:`crlab.numberfield.coefficients`.
+Rationals cross the file edge as ints, in the (scale, entries) form of
+:class:`crlab.linalg.Mat`, with no Fraction per entry.  On read each entry
+is parsed to an int pair (p, q), unreduced and once per distinct string of
+a file, and a matrix with L the lcm of its q's is entries p * (L // q) over
+scale L; ``Mat.from_scaled`` reduces that to the canonical form.  On write
+an entry x of a matrix with scale L takes one g = gcd(x, L) and is
+p = x / g over q = L / g, written "p" when q = 1 (0 included) and "p/q"
+otherwise.  :func:`str_to_scalar` and :func:`scalar_to_str` are the same
+two rules on one scalar.
+
+In a report, an entry over a number field is its list of rational
+coefficients in powers of theta, little-endian and padded to the degree,
+and the field is written as ``{"minpoly": [...]}``, its entries read by
+:func:`crlab.numberfield.coefficients`.  Subspace files hold rational
+spaces only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -40,35 +52,67 @@ class SchemaError(ValueError):
     """Input file does not match the subspace schema."""
 
 
+def _ratio_str(x, scale):
+    """The string of the rational x / scale, for an int x and an int
+    scale > 0, reduced by one gcd."""
+    g = math.gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+
+
 def scalar_to_str(x):
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _ratio_str(x.numerator, x.denominator)
 
 
 _ENTRY_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def str_to_scalar(s):
+def _parse_entry(s):
+    """The ints (p, q) of a "p" or "p/q" entry, q > 0, as written."""
     match = _ENTRY_RE.fullmatch(s) if isinstance(s, str) else None
     if match is None:
         raise SchemaError(f"entry {s!r} is not a rational 'p' or 'p/q' string")
     p, q = match.groups()
-    return Fraction(int(p), int(q or 1))
+    return int(p), int(q or 1)
+
+
+def str_to_scalar(s):
+    return Fraction(*_parse_entry(s))
+
+
+def _is_rational(m):
+    return not m.entries or type(m.entries[0]) is int
 
 
 def _mat_to_rows(m):
-    return [[_entry_jsonable(x) for x in m.row(i)] for i in range(m.rows)]
+    c = m.cols
+    if _is_rational(m):
+        cells = [_ratio_str(x, m.scale) for x in m.entries]
+    else:
+        cells = [[scalar_to_str(x) for x in coefficients(e)] for e in m.entries]
+    return [cells[i * c:(i + 1) * c] for i in range(m.rows)]
 
 
-def _entry_jsonable(x):
-    if isinstance(x, Fraction):
-        return scalar_to_str(x)
-    return [scalar_to_str(c) for c in coefficients(x)]
+def _mat_from_rows(rows, n, parsed):
+    """The n-by-n matrix of a file's rows of "p" or "p/q" strings; parsed
+    maps each entry string read so far to its (p, q), since a file's
+    matrices repeat few distinct strings."""
+    pairs = []
+    for r in rows:
+        for s in r:
+            pair = parsed.get(s) if isinstance(s, str) else None
+            if pair is None:
+                pair = parsed[s] = _parse_entry(s)
+            pairs.append(pair)
+    scale = math.lcm(*(q for _, q in pairs))
+    return Mat.from_scaled(n, n, scale, [p * (scale // q) for p, q in pairs])
 
 
 def subspace_to_dict(v):
     if v.rows != v.cols:
         raise SchemaError("subspace files hold square-matrix spaces only")
+    if not all(map(_is_rational, v.basis)):
+        raise SchemaError("subspace files hold rational spaces only")
     return {
         "ambient": v.rows,
         "field": "Q",
@@ -90,12 +134,12 @@ def subspace_from_dict(d):
     basis = d["basis"]
     if not isinstance(basis, list):
         raise SchemaError("basis must be a list of matrices")
-    mats = []
+    mats, parsed = [], {}
     for b in basis:
         if not (isinstance(b, list) and len(b) == n
                 and all(isinstance(r, list) and len(r) == n for r in b)):
             raise SchemaError(f"every basis matrix must be {n}x{n}")
-        mats.append(Mat.from_rows([[str_to_scalar(x) for x in r] for r in b]))
+        mats.append(_mat_from_rows(b, n, parsed))
     return MatrixSubspace.span(mats, n, n)
 
 

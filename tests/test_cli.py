@@ -1,16 +1,20 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlab.cli import main
 from crlab.commrank import satisfies_rank_condition
 from crlab.constructions import extremal_space, flanders_space
 from crlab.invariant_spaces import search_max_dimension
 from crlab.linalg import Mat, commutator, mat_from_columns
-from crlab.serialize import (SchemaError, read_subspace, str_to_scalar,
+from crlab.numberfield import NumberField
+from crlab.serialize import (SchemaError, read_subspace, scalar_to_str, str_to_scalar,
                              subspace_from_dict, subspace_to_dict, to_jsonable,
                              write_subspace)
 from crlab.subspace import span
@@ -22,19 +26,60 @@ def run_cli(*argv):
 
 # -- file format ---------------------------------------------------------------
 
+def _conjugated(v, seed):
+    """v conjugated by U diag(1, 2, 3, 5, 7, ...) with U unimodular: a
+    permutation times unit lower and unit upper triangular factors with
+    entries in [-1, 1], so the conjugate carries several denominators."""
+    rng = random.Random(seed)
+    n = v.n
+
+    def unit_triangular(lower):
+        return Mat.from_rows([[1 if i == j else rng.randint(-1, 1) if (i > j) == lower else 0
+                               for j in range(n)] for i in range(n)])
+
+    perm = rng.sample(range(n), n)
+    u = Mat.from_rows([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    u = u @ unit_triangular(True) @ unit_triangular(False)
+    return v.conjugate(u @ Mat.diagonal((1, 2, 3, 5, 7, 11, 13)[:n]))
+
+
+def _round_trip_spaces():
+    yield extremal_space(5, 2, 1)
+    yield extremal_space(4, 1, 1)
+    for n, k, l, seed in ((4, 1, 1, 2), (5, 2, 1, 3), (6, 1, 3, 3), (7, 3, 2, 3)):
+        v = _conjugated(extremal_space(n, k, l), seed)
+        assert v.integer_basis()[0] > 1  # the conjugator's seed is picked for this
+        yield v
+
+
+def _reference_encoding(v):
+    """The file of v built from each entry's Fraction, whose str is p or p/q."""
+    return {"ambient": v.n, "field": "Q",
+            "basis": [[[str(b[i, j]) for j in range(v.n)] for i in range(v.n)]
+                      for b in v.basis]}
+
+
 def test_subspace_file_round_trip(tmp_path):
-    v = extremal_space(5, 2, 1)
     path = tmp_path / "v.json"
-    write_subspace(path, v)
-    assert read_subspace(path) == v
+    for v in _round_trip_spaces():
+        assert subspace_to_dict(v) == _reference_encoding(v)
+        write_subspace(path, v)
+        assert read_subspace(path) == v
 
 
 def test_subspace_file_write_is_canonical(tmp_path):
-    v = extremal_space(4, 1, 1)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_subspace(p1, v)
-    write_subspace(p2, read_subspace(p1))
-    assert p1.read_bytes() == p2.read_bytes()
+    for v in _round_trip_spaces():
+        write_subspace(p1, v)
+        write_subspace(p2, read_subspace(p1))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_matrix_encoding_matches_each_scalar():
+    m = Mat.from_rows([[Fraction(-3, 4), 0, 5], [Fraction(7, 6), -2, Fraction(-1, 12)]])
+    assert m.scale == 12 and min(m.entries) < 0
+    assert to_jsonable(m) == [[scalar_to_str(x) for x in m.row(i)] for i in range(m.rows)]
+    assert to_jsonable(m) == [["-3/4", "0", "5"], ["7/6", "-2", "-1/12"]]
 
 
 def test_rejected_write_leaves_the_file_alone(tmp_path):
@@ -43,6 +88,18 @@ def test_rejected_write_leaves_the_file_alone(tmp_path):
     before = path.read_bytes()
     with pytest.raises(SchemaError):
         write_subspace(path, flanders_space(2, 3, 1))
+    assert path.read_bytes() == before
+
+
+def test_number_field_space_is_not_written(tmp_path):
+    # its entries are coefficient lists, which no "field": "Q" file can hold
+    k = NumberField([-2, 0, 1])
+    v = span([k.embed_matrix(Mat.identity(2)) * k.theta()])
+    path = tmp_path / "v.json"
+    write_subspace(path, extremal_space(4, 1, 1))
+    before = path.read_bytes()
+    with pytest.raises(SchemaError, match="rational"):
+        write_subspace(path, v)
     assert path.read_bytes() == before
 
 
@@ -80,6 +137,70 @@ def test_noncanonical_entries_read_exactly():
     for entry, value in (("2/4", Fraction(1, 2)), ("+3", Fraction(3)), ("-0", Fraction(0)),
                          ("-6/9", Fraction(-2, 3)), ("007", Fraction(7))):
         assert str_to_scalar(entry) == value
+
+
+def _reference_scalar(s):
+    """The reader's rule, written apart from it: an ASCII string p or p/q
+    with p optionally signed digits and q digits without a leading zero."""
+    if not (isinstance(s, str) and s.isascii()):
+        raise SchemaError(f"entry {s!r}")
+    p, slash, q = s.partition("/")
+    digits = p[1:] if p[:1] in ("+", "-") else p
+    if not digits.isdigit() or slash and not (q.isdigit() and q[0] != "0"):
+        raise SchemaError(f"entry {s!r}")
+    return Fraction(int(p), int(q or 1))
+
+
+def _reference_read(d):
+    n = d["ambient"]
+    return span([Mat.from_rows([[_reference_scalar(x) for x in r] for r in b])
+                 for b in d["basis"]], n, n)
+
+
+_BAD_ENTRIES = ("1/0", "1/-2", "1.5", "", " 1", "3\n", "\u0663", "1/2/3",
+                1, None, True, ["1"])
+
+
+@st.composite
+def _entry(draw, integer):
+    sign = draw(st.sampled_from(("", "", "+", "-")))
+    p = "0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, 10 ** 12)))
+    if integer or draw(st.booleans()):
+        return sign + p
+    return f"{sign}{p}/{draw(st.integers(1, 10 ** 6))}"
+
+
+@st.composite
+def _subspace_files(draw):
+    n = draw(st.integers(1, 4))
+    basis = []
+    for _ in range(draw(st.integers(0, 3))):
+        integer = draw(st.booleans())
+        basis.append([[draw(_entry(integer)) for _ in range(n)] for _ in range(n)])
+    return {"ambient": n, "field": "Q", "basis": basis}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_files())
+def test_reader_matches_a_fraction_reader(d):
+    assert subspace_from_dict(d) == _reference_read(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_files().filter(lambda d: d["basis"]), st.data())
+def test_reader_refuses_what_a_fraction_reader_refuses(d, data):
+    bad = data.draw(st.one_of(st.sampled_from(_BAD_ENTRIES), st.text(max_size=4)))
+    b = data.draw(st.integers(0, len(d["basis"]) - 1))
+    i, j = (data.draw(st.integers(0, d["ambient"] - 1)) for _ in range(2))
+    d["basis"][b][i][j] = bad
+    try:
+        want = _reference_read(d)
+    except SchemaError:
+        with pytest.raises(SchemaError) as exc:
+            subspace_from_dict(d)
+        assert str(exc.value) == f"entry {bad!r} is not a rational 'p' or 'p/q' string"
+    else:
+        assert subspace_from_dict(d) == want
 
 
 # -- subcommands ------------------------------------------------------------------
