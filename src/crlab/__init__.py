@@ -20,14 +20,13 @@ from .invariant_spaces import (InvariantSpaceSpec, SearchReport,
                                split_bound, triangular_closure)
 from .linalg import (Mat, SingularMatrixError, commutator, mat_from_columns,
                      random_matrix)
-from .numberfield import ExtensionLimitError, NumberField, charpoly_discriminant
+from .numberfield import ExtensionLimitError, NumberField
 from .subspace import MatrixSubspace, full_space, span, zero_space
 from .triangularize import (InconsistentFamilyError, InvariantFailureError,
                             RankOneFamily, TriangularizationResult,
                             classify_rank_one_family, triangularize_rank_one,
                             verify_triangular)
 from .verify import (AlgebraReport, FlandersReport, StructureVerdict,
-                     algebra_structure_report, find_distinct_eigenvalue_element,
-                     flanders_check, structure_check)
+                     algebra_structure_report, flanders_check, structure_check)
 
 __version__ = "0.1.0"

@@ -15,14 +15,15 @@ above k when the running maximum passes k in more than one step.
 A scan also stops at a proven ceiling, which changes neither its profile
 nor any verdict.  Let [a, b] be a pair that raised the running maximum to
 r and W the column span of [a, b], so dim W = r.  If W is invariant under
-V, every A in V acts on Q^n / W as some A', and the quotient map P has
-PA = A'P.  If moreover the A' commute, then P[A, B] = [A', B']P = 0, so
-every commutator has its columns in W and rank at most r: V lies in a
+V, with P^{-1} A P = [[A_W, *], [0, A']], and the A' commute, then every
+commutator has its columns in W and rank at most r: V lies in a
 compression space (Atkinson and Lloyd, "Large spaces of matrices of
 bounded rank", 1980).  Later pairs can only tie r, and a tie does not
-replace the kept pair, so the scan stops.  The row side is the same test
-on the transposes.  Each extremal space V_{k,l} passes with its
-k-dimensional core as W, and its transpose passes on the row side.
+replace the kept pair, so the scan stops.  :func:`compression_split` is
+that test, on the one quotient step :func:`~crlab.linalg.invariant_split`;
+the row side is the same test on the transposes.  Each extremal space
+V_{k,l} passes with its k-dimensional core as W, and its transpose passes
+on the row side.
 
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
 commutator of two generic elements are computed by sympy as polynomials in the
@@ -35,9 +36,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import mul
 
-from .linalg import Mat, _bareiss, _combine, _commutator_rows, _echelon, _sparse
+from .linalg import (Mat, VectorSpan, _bareiss, _combine, _commutator_rows, _sparse,
+                     column_space, commutator, invariant_split)
 
 __all__ = [
     "CommutatorProfile",
@@ -47,6 +48,7 @@ __all__ = [
     "satisfies_rank_condition",
     "dimension_bound",
     "check_dimension_bound",
+    "compression_split",
     "certify_rank_condition_symbolic",
 ]
 
@@ -125,57 +127,41 @@ def _scan(v, trials, seed, stop_above):
         ca = [rng.randint(-bound, bound) for _ in rows]
         cb = [rng.randint(-bound, bound) for _ in rows]
         a, b = _combine(rows, ca, size), _combine(rows, cb, size)
-        r = _bareiss(_commutator_rows(a, b, n))[0]
+        comm = _commutator_rows(a, b, n)
+        r = _bareiss([row[:] for row in comm])[0]
         if r > best:
             best, a_best, b_best = r, a, b
-            if r > stop_above or (left and _proves_ceiling(basis, a, b, n)):
+            if r > stop_above or (left and _proves_ceiling(basis, comm, n)):
                 break
     witness = tuple(Mat.from_scaled(n, n, scale, m) for m in (a_best, b_best))
     return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed)
 
 
-def _proves_ceiling(basis, a, b, n):
+def _proves_ceiling(basis, comm, n):
     """Is rank [A, B] <= rank [a, b] for every A, B in span(basis)?  True
-    when the columns, or else the rows, of every commutator lie in those of
-    [a, b]; False says nothing.  Flat row-major integer matrices."""
-    comm = _commutator_rows(a, b, n)
-    if _commutators_inside(basis, list(zip(*comm)), n):
-        return True
-    transposed = [[x for j in range(n) for x in m[j::n]] for m in basis]
-    return _commutators_inside(transposed, comm, n)
+    when :func:`compression_split` fires on the columns, or else the rows,
+    of comm = [a, b]; False says nothing.  ``basis`` holds flat row-major
+    integer matrices, ``comm`` the rows of [a, b]."""
+    mats = [Mat.from_scaled(n, n, 1, m) for m in basis]
+    comm = Mat.from_scaled(n, n, 1, [x for row in comm for x in row])
+    return (compression_split(mats, comm) is not None
+            or compression_split([m.transpose() for m in mats], comm.transpose()) is not None)
 
 
-def _commutators_inside(mats, vectors, n):
-    """Do the columns of every commutator of span(mats) lie in W =
-    span(vectors)?  ``mats`` are flat row-major integer n-by-n matrices and
-    ``vectors`` integer length-n sequences; False when W is not invariant
-    under every M in ``mats`` or the quotient family on Q^n / W does not
-    commute, though the columns may still lie in W.
-
-    W is kept as the scaled RREF of :func:`~crlab.linalg._echelon`, rows R_i
-    over L with pivots p_i.  L times the quotient map reads x at the free
-    columns c as L x_c - sum_i x_{p_i} R_i[c]; on the columns of M that is
-    the matrix S_M whose row c combines row c of M with the rows p_i.  W is
-    invariant under M iff S_M R_i = 0 for every i, and then S_M's free
-    columns are L times the quotient matrix of M.  Commuting is bilinear, so
-    it is tested on a basis of the quotient matrices' span only.
-    """
-    w = [list(x) for x in vectors]
-    pivots, scale = _echelon(w)
-    w = w[:len(pivots)]
-    free = [c for c in range(n) if c not in pivots]
-    quotients = []
-    for m in mats:
-        m_rows = _sparse(m[i:i + n] for i in range(0, n * n, n))
-        picked = [m_rows[p] for p in pivots]
-        s = [_combine([m_rows[c], *picked], [scale, *(-r[c] for r in w)], n) for c in free]
-        if any(sum(map(mul, row, r)) for row in s for r in w):
-            return False
-        quotients.append([row[c] for row in s for c in free])
-    spanning = quotients[:len(_echelon(quotients)[0])]
-    t = len(free)
-    return not any(any(map(any, _commutator_rows(x, y, t)))
-                   for i, x in enumerate(spanning) for y in spanning[i + 1:])
+def compression_split(mats, comm):
+    """The :func:`~crlab.linalg.invariant_split` of ``mats`` at W, the
+    column span of the n-by-n matrix ``comm``, when W is invariant and the
+    quotient blocks commute, so that every commutator of span(mats) has its
+    columns in W; None otherwise.  Commuting is bilinear, so a basis of the
+    quotient blocks' span is tested."""
+    n = comm.rows
+    split = invariant_split(mats, column_space(comm), n)
+    if split is None:
+        return None
+    m = n - split.dim
+    qs = VectorSpan(m * m, split.quotients).members(m, m)
+    commute = all(commutator(x, y).is_zero() for i, x in enumerate(qs) for y in qs[i + 1:])
+    return split if commute else None
 
 
 def max_commutator_rank(v, trials, seed):

@@ -41,7 +41,6 @@ __all__ = [
     "coefficients",
     "irreducible_factors",
     "adjoin_root",
-    "charpoly_discriminant",
 ]
 
 
@@ -191,12 +190,3 @@ def adjoin_root(g, field=None):
     big.parent_theta = -tail / lead
     return big, big.theta() - big.parent_theta * s
 
-
-def charpoly_discriminant(m):
-    """Discriminant of the characteristic polynomial, computed by sympy;
-    nonzero iff the matrix has n distinct complex eigenvalues.  Rational
-    matrices only."""
-    coeffs = m.charpoly()
-    if not all(isinstance(c, Fraction) for c in coeffs):
-        raise ValueError("discriminant is defined for rational matrices only")
-    return _fraction(_poly(coeffs, None).rep.discriminant())

@@ -21,7 +21,9 @@ gives u_M = -B0(M x0) / (v^T x0) in range B0 for every M.  Either way
 range B0 is invariant, restrictions and quotients keep the shared direction,
 and one recursion serves LEFT, RIGHT and commuting families alike (a failure
 of both subspaces would exhibit a rank-two commutator, reported with a
-witness).
+witness).  Each step is the one quotient step of :mod:`crlab.linalg`:
+:func:`~crlab.linalg.invariant_split` at the kernel, then at the range, tests
+invariance and gives P with the blocks on W and on Q^n / W to recurse on.
 
 Eigenvalues are the roots of linear factors of characteristic polynomials
 over the current field, Q at the start.  When no candidate member has one,
@@ -43,7 +45,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Mat, VectorSpan, adapted_basis, block_diag, commutator, probe_members
+from .linalg import (Mat, VectorSpan, block_diag, column_space, commutator, invariant_split,
+                     probe_members)
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
                           irreducible_factors)
 
@@ -169,43 +172,24 @@ def _find_singular_shift(mats, field, rng):
     return b0, field, [_lift(m, field) for m in mats]
 
 
-def _column_space(m):
-    """The echelon basis of the column space of m, as column vectors (its
-    entries stay small where raw columns of m may not)."""
-    span = VectorSpan(m.rows, (m.block(0, m.rows, j, j + 1) for j in range(m.cols)))
-    return span.members(m.rows, 1)
-
-
-def _is_invariant(mats, vectors):
-    """Is span(vectors) invariant under every matrix?  Returns an offending
-    matrix as a witness, or None."""
-    span = VectorSpan(vectors[0].rows, vectors)
-    for a in mats:
-        if not all(span.contains(a @ u) for u in vectors):
-            return a
-    return None
-
-
 def _triangularize_family(mats, n, field, rng):
     """Recursive flag construction; returns (P, field) with P^{-1} A P upper
     triangular for every A (over the possibly extended field)."""
     if n == 1 or all(m.is_upper_triangular() for m in mats):
         return _lift(Mat.identity(n), field), field
     b0, field, mats = _find_singular_shift(mats, field, rng)
-    subspace = b0.kernel_basis()
-    if _is_invariant(mats, subspace) is not None:
-        subspace = _column_space(b0)
-        bad = _is_invariant(mats, subspace)
-        if bad is not None:
-            raise InvariantFailureError(bad)
-    m = len(subspace)
-    p1, p1_inv = adapted_basis(subspace, n)
-    conj = [p1_inv @ a @ p1 for a in mats]
-    p_top, field = _triangularize_family([t.block(0, m, 0, m) for t in conj],
-                                         m, field, rng)
-    p_bot, field = _triangularize_family([_lift(t.block(m, n, m, n), field)
-                                          for t in conj], n - m, field, rng)
-    return _lift(p1, field) @ block_diag(_lift(p_top, field), p_bot), field
+    split = invariant_split(mats, b0.kernel_basis(), n)
+    if split is None:
+        image = column_space(b0)
+        split = invariant_split(mats, image, n)
+        if split is None:
+            moved = (a for a in mats if invariant_split([a], image, n) is None)
+            raise InvariantFailureError(next(moved))
+    m = split.dim
+    p_top, field = _triangularize_family(split.tops(), m, field, rng)
+    p_bot, field = _triangularize_family([_lift(q, field) for q in split.quotients],
+                                         n - m, field, rng)
+    return _lift(split.p, field) @ block_diag(_lift(p_top, field), p_bot), field
 
 
 def triangularize_rank_one(v):

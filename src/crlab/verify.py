@@ -1,13 +1,12 @@
-"""Cross-cutting checkers: generic elements, the rank-bounded-space dimension
-bound for rectangular spaces, and recovery of the extremal block structure.
+"""Cross-cutting checkers: the rank-bounded-space dimension bound for
+rectangular spaces, and recovery of the extremal block structure.
 
-The structure check is deterministic given a basis: the core invariant
-subspace is the smallest invariant subspace containing every basis-pair
-commutator's column space (bilinearity makes basis sums exact, not just
-generic); basis pairs are scanned only until their columns span as many
-dimensions as the sampled rank level, which already gives the whole core
-whenever the space can match.  The middle strip comes from the nilpotent
-parts of the induced quotient action, and a candidate similarity is
+The structure check reads the core off the sampled profile: when the
+witness commutator's column span W passes the scan's rank ceiling
+(:func:`~crlab.commrank.compression_split`, on the one quotient step
+:func:`~crlab.linalg.invariant_split`), W is the core, and the split gives
+the change of basis and the quotient blocks.  The middle strip comes from
+the nilpotent parts of the quotient action, and a candidate similarity is
 accepted only when conjugation lands exactly on the canonical construction
 (span equality, no tolerance).
 
@@ -24,20 +23,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
-from .commrank import check_dimension_bound
+from .commrank import check_dimension_bound, compression_split
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
 from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, commutator,
                      mat_from_columns, probe_members)
-from .numberfield import charpoly_discriminant, irreducible_factors
+from .numberfield import irreducible_factors
 from .subspace import MatrixSubspace
 
 __all__ = [
     "StructureVerdict",
     "FlandersReport",
     "AlgebraReport",
-    "find_distinct_eigenvalue_element",
     "flanders_check",
     "structure_check",
     "algebra_structure_report",
@@ -85,18 +82,6 @@ class AlgebraReport:
     note: str
 
 
-def find_distinct_eigenvalue_element(v, trials, seed):
-    """A member with n distinct eigenvalues (nonzero characteristic-polynomial
-    discriminant), or None.
-
-    Basis elements are probed first (a diagonal generator with distinct
-    entries is its own witness); the ``trials`` budget then counts random
-    integer combinations.  Absence of a witness is never proven.
-    """
-    probes = probe_members(v.basis, random.Random(seed), _PROBE_BOUND, trials)
-    return next((m for m in probes if charpoly_discriminant(m)), None)
-
-
 def flanders_check(v, trials, seed):
     """Estimate the maximal member rank k̂ of a (possibly rectangular) space
     and compare dim against the rank-bounded-space bound k̂ * max(rows, cols)."""
@@ -117,38 +102,50 @@ def structure_check(v, trials, seed):
 
 
 def _recognize(v, report, seed):
-    """The structure verdict of v, given its dimension-bound report."""
+    """The structure verdict of v, given its dimension-bound report.
+
+    A side is tried only when :func:`~crlab.commrank.compression_split`
+    fires on the witness commutator C, of rank k = k̂: on the column side
+    W, the column span of C, is invariant and the quotient action commutes;
+    the row side is the same test on the transposed space.  A firing W holds
+    every commutator's columns and is invariant, so it is the core.  Skipping
+    a silent side is exact: a space similar to V_{k,l} or to an exceptional
+    space has a k-dimensional invariant core holding every commutator's
+    columns and a commutative quotient, its k is k̂ (the bound is strictly
+    increasing in k), so W, k-dimensional inside the core, is the core and
+    the column side fires; for its transpose the row side fires.
+    """
     k = report.k_hat
     if report.slack != 0:  # None when no k < n applies
         return StructureVerdict("NOT_EQUALITY_CASE", k_hat=k,
                                 detail=f"dim {v.dim} vs bound {report.bound} at sampled rank {k}")
+    comm = commutator(*report.profile.witness)
     for transposed in (False, True):
         w = v.transpose_space() if transposed else v  # built only when v fails
-        verdict = _match_block_form(w, k, seed, transposed)
-        if verdict is not None:
-            return verdict
+        split = compression_split(w.basis, comm.transpose() if transposed else comm)
+        if split is not None:
+            verdict = _match_block_form(w, seed, transposed, split)
+            if verdict is not None:
+                return verdict
     return StructureVerdict("NO_MATCH", k_hat=k,
                             detail="equality dimension but no recovered similarity; "
                                    "reported as-is, never decided by fiat")
 
 
-def _match_block_form(w, k, seed, transposed):
+def _match_block_form(w, seed, transposed, split):
     """The matched verdict of w (``MATCHES_VK``, ``MATCHES_VK_TRANSPOSE``
     when w is the transposed space, or ``EXCEPTIONAL``), or None when no
-    similarity onto a canonical space is recovered.
+    similarity onto a canonical space is recovered, given the
+    :func:`~crlab.linalg.invariant_split` of w's basis at its core.
 
     The verdict's witness Q has w.conjugate(Q) exactly equal to the
-    canonical construction.  P1 = [core | e_i ...] and the strip completion
-    P2 each come with their inverses from one :func:`adapted_basis`
-    reduction, so Q = diag(I_k, P2^{-1}) P1^{-1} is a product; the
-    conjugation test inverts Q on its own.
+    canonical construction.  P1 = [core | e_i ...] comes with its inverse
+    from the split and the strip completion P2 from one
+    :func:`adapted_basis` reduction, so Q = diag(I_k, P2^{-1}) P1^{-1} is a
+    product; the conjugation test inverts Q on its own.
     """
-    n = w.n
-    core = _commutator_core(w, k)
-    if len(core) != k:
-        return None
-    p1, p1_inv = adapted_basis(core, n)
-    quotient = [(p1_inv @ a @ p1).block(k, n, k, n) for a in w.basis]
+    n, k = w.n, split.dim
+    p1_inv, quotient = split.p_inv, split.quotients
     m = n - k
     # L m (q - tr(q)/m I), L q's scale: each nilpotent part times a positive
     # int, so the strip's span is the same and no Fraction is built
@@ -170,41 +167,6 @@ def _match_block_form(w, k, seed, transposed):
                 return StructureVerdict("EXCEPTIONAL", k_hat=k, tag=tag, chain_dims=(k,),
                                         witness_basis=witness, transposed=transposed)
     return None
-
-
-def _commutator_core(w, k):
-    """The core C, the smallest invariant subspace containing every
-    basis-pair commutator column, as its RREF basis of n-by-1 matrices,
-    when dim C = k; otherwise some invariant subspace inside C that the caller
-    will reject or fail to match.
-
-    The scan of basis pairs stops once the collected columns span k
-    dimensions; the span S is then closed under the basis.  S lies in C,
-    so when dim C = k the first k-dimensional S is C itself, and the RREF
-    basis, the witness and the verdict are those of the full scan.  When
-    dim C != k the full scan gives a core the caller rejects; the result
-    here is either rejected too or passed to the exact conjugation test,
-    which then fails: C is carried along by a similarity, and every space
-    the test accepts (V_k and the exceptional spaces) has a k-dimensional
-    core.
-    """
-    n = w.n
-    span = VectorSpan(n)
-    basis = w.basis
-    for a, b in combinations(basis, 2):
-        if span.dim >= k:
-            break
-        c = commutator(a, b)
-        for col in range(n):
-            span.add(c.block(0, n, col, col + 1))
-    grew = True
-    while grew:
-        grew = False
-        for a in basis:
-            for u in span.members(n, 1):
-                if span.add(a @ u):
-                    grew = True
-    return span.members(n, 1)
 
 
 # -- exceptional quotient matcher ------------------------------------------------

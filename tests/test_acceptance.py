@@ -11,6 +11,7 @@ import random
 import time
 
 import pytest
+import sympy
 
 from crlab.commrank import dimension_bound, satisfies_rank_condition
 from crlab.constructions import (extremal_space, firstcol_zero_space,
@@ -20,11 +21,10 @@ from crlab.invariant_spaces import (InvariantSpaceSpec,
                                     enumerate_invariant_spaces,
                                     is_triangular_invariant,
                                     search_max_dimension, triangular_closure)
-from crlab.linalg import Mat, commutator, random_matrix
+from crlab.linalg import Mat, commutator, probe_members, random_matrix
 from crlab.subspace import span
 from crlab.triangularize import triangularize_rank_one, verify_triangular
-from crlab.verify import (algebra_structure_report, find_distinct_eigenvalue_element,
-                          flanders_check, structure_check)
+from crlab.verify import algebra_structure_report, flanders_check, structure_check
 
 
 def _ok(name, t0):
@@ -187,6 +187,12 @@ def test_criterion_6_triangularization_corpus():
     _ok("6 fifty seeded triangularizations verified exactly, plus the swap", t0)
 
 
+def _distinct_eigenvalues(m):
+    """Has m n distinct complex eigenvalues (a nonzero discriminant of its
+    characteristic polynomial)?"""
+    return sympy.Matrix(m.rows, m.cols, m.data).charpoly().discriminant() != 0
+
+
 def test_criterion_7_distinct_eigenvalue_elements():
     t0 = time.monotonic()
     for n in (3, 4, 5):
@@ -196,7 +202,8 @@ def test_criterion_7_distinct_eigenvalue_elements():
             v = span([random_matrix(n, n, 9, rng.randint(0, 10 ** 9))
                       for _ in range(d)])
             assert v.dim == d
-            m = find_distinct_eigenvalue_element(v, trials=10, seed=run)
+            probes = probe_members(v.basis, random.Random(run), 1000, 10)
+            m = next((m for m in probes if _distinct_eigenvalues(m)), None)
             assert m is not None, (n, run)
             assert v.contains(m)
     _ok("7 generic member found within 10 trials in all 60 runs", t0)

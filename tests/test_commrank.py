@@ -5,8 +5,8 @@ import pytest
 import sympy
 
 from crlab import commrank
-from crlab.commrank import (certify_rank_condition_symbolic,
-                            check_dimension_bound, dimension_bound,
+from crlab.commrank import (certify_rank_condition_symbolic, check_dimension_bound,
+                            compression_split, dimension_bound,
                             max_commutator_rank, satisfies_rank_condition)
 from crlab.constructions import (exceptional_extremal_space, extremal_space,
                                  firstcol_zero_space, lastrow_zero_space,
@@ -359,15 +359,13 @@ def test_ceiling_is_sound_against_sympy():
     spaces += [span([E(4, 0, 1), E(4, 1, 2), E(4, 2, 3)])]  # a chain of rank-one commutators
     fired = set()
     for v in [_conjugated(w, rng) for w in spaces]:
-        n, (_, basis) = v.n, v.integer_basis()
-        transposed = [[x for j in range(n) for x in m[j::n]] for m in basis]
+        transposed = [m.transpose() for m in v.basis]
         for bound in (10 ** 6, 2, 1):
-            a, b = (v.random_element(rng, bound).entries for _ in range(2))
-            comm = commrank._commutator_rows(a, b, n)
-            r = sympy.Matrix(comm).rank()
-            for side, mats, vectors in (("columns", basis, list(zip(*comm))),
-                                        ("rows", transposed, comm)):
-                if commrank._commutators_inside(mats, vectors, n):
+            comm = commutator(*(v.random_element(rng, bound) for _ in range(2)))
+            r = sympy.Matrix(v.n, v.n, comm.data).rank()
+            for side, mats, c in (("columns", v.basis, comm),
+                                  ("rows", transposed, comm.transpose())):
+                if compression_split(mats, c) is not None:
                     fired.add(side)
                     assert _stacked_commutator_rank(v, side) <= r
     assert fired == {"columns", "rows"}
@@ -382,5 +380,6 @@ def test_ceiling_refuses_a_commutator_below_the_maximum():
             for b in basis[i + 1:]:
                 if commutator(*(Mat(n, n, m) for m in (a, b))).rank() < k:
                     below += 1
-                    assert not commrank._proves_ceiling(basis, a, b, n)
+                    comm = commrank._commutator_rows(a, b, n)
+                    assert not commrank._proves_ceiling(basis, comm, n)
         assert below

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlab import verify
+from crlab.commrank import compression_split, max_commutator_rank
 from crlab.constructions import extremal_space, rank_one_max_space
 from crlab.invariant_spaces import InvariantSpaceSpec, search_max_dimension
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
-                          commutator, mat_from_columns, probe_members, random_matrix)
-from crlab.numberfield import NumberField, charpoly_discriminant, coefficients
+                          commutator, invariant_split, mat_from_columns, probe_members,
+                          random_matrix)
+from crlab.numberfield import NumberField, coefficients
 from crlab.subspace import span
 from crlab.triangularize import classify_rank_one_family
 
@@ -61,12 +63,6 @@ def test_commutator_antisymmetry_and_trace():
         c = commutator(a, b)
         assert c == -commutator(b, a)
         assert c.trace() == 0
-
-
-def test_charpoly_discriminant_examples():
-    assert charpoly_discriminant(Mat.diagonal([1, 2])) == 1
-    assert charpoly_discriminant(Mat.identity(2)) == 0
-    assert charpoly_discriminant(E(2, 0, 1)) == 0
 
 
 def test_charpoly_known_matrix():
@@ -166,12 +162,6 @@ def test_charpoly_over_q_equals_the_field_loop_in_q_sqrt2():
     # and on a matrix that is not rational: [[r, 1], [0, -r]], r^2 = 2
     r, o, z = _SQRT2.theta(), _SQRT2.one(), _SQRT2.zero()
     assert Mat(2, 2, [r, o, z, -r]).charpoly() == (-2 * o, z, o)
-
-
-def test_discriminant_rejects_prime_mode():
-    m = NumberField([1, 0, 1]).embed_matrix(Mat.identity(2))  # over Q(i)
-    with pytest.raises(ValueError):
-        charpoly_discriminant(m)
 
 
 def test_random_matrix_contract():
@@ -456,11 +446,16 @@ def _conjugated(v, seed):
             return w
 
 
+def _splits_at_its_core(v):
+    """Does v split at its 2-dimensional core, tops included?"""
+    split = compression_split(v.basis, commutator(*max_commutator_rank(v, 8, 0).witness))
+    return split.dim == 2 and len(split.tops()) == len(split.quotients) == v.dim
+
+
 @pytest.mark.parametrize("case", [
     (lambda: _conjugated(rank_one_max_space(4, "generic", 1), 5),
      lambda v: classify_rank_one_family(v).side != "ZERO"),
-    (lambda: _conjugated(extremal_space(5, 2, 1), 6),
-     lambda v: len(verify._commutator_core(v, 2)) == 2),
+    (lambda: _conjugated(extremal_space(5, 2, 1), 6), _splits_at_its_core),
     # the diagonal span's RREF rows are e_x + e_2 / 2
     (lambda: InvariantSpaceSpec(3, frozenset({(1, 0)}), ((0, 1, 2),), frozenset({(1, 0)})),
      lambda spec: spec.realize().integer_basis()[0] == 2),
@@ -604,7 +599,7 @@ def test_distinct_eigenvalues_imply_full_krylov_rank():
     found = 0
     for _ in range(40):
         m = random_matrix(4, 4, 6, rng.randint(0, 10 ** 6))
-        if not charpoly_discriminant(m):
+        if not _as_sympy(m).charpoly().discriminant():  # a repeated eigenvalue
             continue
         found += 1
         v = Mat.column([rng.randint(1, 9) for _ in range(4)])
@@ -682,6 +677,43 @@ def test_adapted_basis_over_q_sqrt2():
     assert p @ p_inv == eye and p_inv @ p == eye
     with pytest.raises(SingularMatrixError):
         adapted_basis(vectors + [[z, r + o, o + r, z]], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(1, 3), st.booleans(), st.booleans(),
+    st.integers(0, 10 ** 6))))
+def test_invariant_split_is_the_block_form_of_an_adapted_basis(case):
+    # W = Q span(e_1..e_k) for a random family Q T Q^{-1}, T block upper
+    # triangular unless one is told to move W; over Q and over Q(sqrt 2)
+    n, k, count, move, over_field, seed = case
+    rng = random.Random(seed)
+
+    def entry():
+        x = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return _SQRT2.element([x, rng.randint(-2, 2)]) if over_field else x
+
+    def matrix(fixes_w):
+        return Mat(n, n, [0 if fixes_w and i >= k > j else entry()
+                          for i in range(n) for j in range(n)])
+
+    q = matrix(False)
+    while not q.det():
+        q = matrix(False)
+    q_inv = q.inverse()
+    mats = [q @ matrix(not (move and i == 0)) @ q_inv for i in range(count)]
+    basis = [q.block(0, n, j, j + 1) for j in range(k)]
+    span_w = VectorSpan(n, basis)
+    moved = any(not span_w.contains(a @ u) for a in mats for u in basis)
+    split = invariant_split(mats, basis, n)
+    assert (split is None) == moved
+    if split is not None:
+        p, p_inv = adapted_basis(basis, n)
+        assert (split.p, split.p_inv, split.dim) == (p, p_inv, k)
+        blocks = [p_inv @ a @ p for a in mats]
+        assert split.tops() == [b.block(0, k, 0, k) for b in blocks]
+        assert split.quotients == [b.block(k, n, k, n) for b in blocks]
+        assert all(b.block(k, n, 0, k).is_zero() for b in blocks)
 
 
 def test_block_diag():

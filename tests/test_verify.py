@@ -3,15 +3,14 @@ from itertools import combinations
 from math import gcd
 
 from crlab import verify
+from crlab.commrank import check_dimension_bound, compression_split
 from crlab.constructions import (exceptional_extremal_space, extremal_space,
                                  firstcol_zero_space, flanders_space,
                                  lastrow_zero_space, rank_one_max_space,
                                  schur_space, valid_splits)
 from crlab.linalg import Mat, VectorSpan, block_diag, commutator, random_matrix
-from crlab.numberfield import charpoly_discriminant
 from crlab.subspace import span, zero_space
-from crlab.verify import (algebra_structure_report, find_distinct_eigenvalue_element,
-                          flanders_check, structure_check)
+from crlab.verify import algebra_structure_report, flanders_check, structure_check
 
 
 def _invertible(n, seed, bound=3):
@@ -20,26 +19,6 @@ def _invertible(n, seed, bound=3):
         q = random_matrix(n, n, bound, rng.randint(0, 10 ** 9))
         if q.det() != 0:
             return q
-
-
-# -- generic elements ---------------------------------------------------------
-
-def test_find_distinct_returns_diagonal_generator():
-    v = span([Mat.diagonal([1, 2, 3])])
-    assert find_distinct_eigenvalue_element(v, 10, 1) == v.basis[0]
-
-
-def test_find_distinct_nilpotent_space_not_found():
-    assert find_distinct_eigenvalue_element(span([Mat.unit(2, 0, 1)]), 10, 1) is None
-
-
-def test_find_distinct_output_contract():
-    rng = random.Random(7)
-    v = span([random_matrix(4, 4, 5, rng.randint(0, 10 ** 6)) for _ in range(13)])
-    m = find_distinct_eigenvalue_element(v, 10, 3)
-    assert m is not None
-    assert charpoly_discriminant(m) != 0
-    assert v.contains(m)
 
 
 # -- rank-bounded rectangular spaces ----------------------------------------------
@@ -181,49 +160,81 @@ def _full_scan_core(w):
 
 
 def _matchable_spaces(max_n):
-    """(space, k): every extremal space and every exceptional space the
-    structure check can match, for n <= max_n."""
+    """(space, k, l, tag): every extremal space V_{k,l} (tag None) and every
+    exceptional space (l None) the structure check can match, for n <= max_n."""
     for n in range(2, max_n + 1):
         for k in range(n):
             for l in valid_splits(n, k):
-                yield extremal_space(n, k, l), k
+                yield extremal_space(n, k, l), k, l, None
             for tag in {2: ("diag",), 3: ("diag", "nil1_plus_scalar", "nil2")}.get(n - k, ()):
-                yield exceptional_extremal_space(n, k, tag), k
+                yield exceptional_extremal_space(n, k, tag), k, None, tag
 
 
 def test_matchable_spaces_have_core_of_dimension_k():
     # the fact that lets the core scan stop at dimension k
-    for w, k in _matchable_spaces(7):
+    for w, k, _, _ in _matchable_spaces(7):
         assert len(_full_scan_core(w)) == k, (w.n, k, w.dim)
 
 
 def test_commutator_core_agrees_with_full_scan():
+    # the symmetry corpus: each matchable space, a seeded conjugate, its
+    # transpose and J A^T J (a conjugate of the transpose), J the exchange
+    # matrix.  The column side matches on a space and its conjugate, the
+    # row side on the other two, except where the transpose is itself
+    # similar to a V_{k,l}: at k = 0 (W = 0, and l swaps to n - l) and at
+    # n = 2 (V_{1,0} is the upper triangular algebra).  A one-dimensional
+    # quotient has an empty strip, so l reads 0 there.  The W of the side
+    # that matches is the core of the full scan.
     rng = random.Random(41)
-    for w, k in _matchable_spaces(6):
-        v = w.conjugate(_invertible(w.n, rng.randint(0, 10 ** 6)))
-        for u in (v, v.transpose_space()):
-            ref = _full_scan_core(u)
-            core = verify._commutator_core(u, k)
-            assert all(c.rows == u.n and c.cols == 1 for c in core)
-            assert VectorSpan(u.n, ref + core).dim == len(ref)  # core lies in C
-            if len(ref) == k:
-                assert core == ref
+    for w, k, l, tag in _matchable_spaces(6):
+        n = w.n
+        exchange = Mat.from_rows([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+        conj = w.conjugate(_invertible(n, rng.randint(0, 10 ** 6)))
+        anti = w.transpose_space().conjugate(exchange)
+        seed = rng.randint(0, 100)
+        for u, flipped in ((w, False), (conj, False),
+                           (conj.transpose_space(), True), (anti, True)):
+            transposed = flipped and k > 0 and n > 2
+            verdict = structure_check(u, 32, seed)
+            report = check_dimension_bound(u, 32, seed)
+            comm = commutator(*report.profile.witness)
+            side = u.transpose_space() if transposed else u
+            split = compression_split(side.basis, comm.transpose() if transposed else comm)
+            assert split is not None and split.dim == k, (n, k, flipped)
+            assert [split.p.block(0, n, j, j + 1) for j in range(k)] == _full_scan_core(side)
+            assert verdict.transposed == transposed
+            if tag is not None:
+                assert (verdict.status, verdict.tag) == ("EXCEPTIONAL", tag)
+            else:
+                assert verdict.status == ("MATCHES_VK_TRANSPOSE" if transposed else "MATCHES_VK")
+                assert verdict.l == (n - l if flipped and not k else l if n - k > 1 else 0)
+
 
 
 def test_structure_check_same_with_full_scan_core(monkeypatch):
-    # transposed inputs: the first side's core exceeds k, the second side matches
+    # transposed inputs: the column side does not fire, the row side matches;
+    # splitting each side at the full scan's core, when it has dimension
+    # k = rank C, instead of at C's column span gives the same verdicts
     rng = random.Random(43)
     inputs = []
-    for w, k in _matchable_spaces(5):
+    for w, k, _, _ in _matchable_spaces(5):
         if k:
             v = w.conjugate(_invertible(w.n, rng.randint(0, 10 ** 6)))
             inputs += [v, v.transpose_space()]
     verdicts = [structure_check(v, 32, 3) for v in inputs]
-    monkeypatch.setattr(verify, "_commutator_core",
-                        lambda w, k: _full_scan_core(w))
+
+    def full_scan_split(mats, comm):
+        n = comm.rows
+        core = _full_scan_core(span(mats))
+        if len(core) != comm.rank():  # a core other than k-dimensional is rejected
+            return None
+        cols = Mat.from_rows([[core[j][i, 0] if j < len(core) else 0 for j in range(n)]
+                              for i in range(n)])
+        return compression_split(mats, cols)
+
+    monkeypatch.setattr(verify, "compression_split", full_scan_split)
     assert [structure_check(v, 32, 3) for v in inputs] == verdicts
     assert all(v.status != "NO_MATCH" for v in verdicts)
-
 
 # -- combined algebra reports ----------------------------------------------------------
 
