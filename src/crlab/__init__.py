@@ -22,10 +22,9 @@ from .linalg import (Mat, SingularMatrixError, commutator, mat_from_columns,
                      random_matrix)
 from .numberfield import ExtensionLimitError, NumberField
 from .subspace import MatrixSubspace, full_space, span, zero_space
-from .triangularize import (InconsistentFamilyError, InvariantFailureError,
-                            RankOneFamily, TriangularizationResult,
-                            classify_rank_one_family, triangularize_rank_one,
-                            verify_triangular)
+from .triangularize import (InconsistentFamilyError, RankOneFamily,
+                            TriangularizationResult, classify_rank_one_family,
+                            triangularize_rank_one, verify_triangular)
 from .verify import (AlgebraReport, FlandersReport, StructureVerdict,
                      algebra_structure_report, flanders_check, structure_check)
 

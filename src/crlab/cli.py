@@ -3,8 +3,8 @@
 Subcommands: construct, analyze, triangularize, search, verify-structure,
 selftest.  Exit codes: 0 on success, 1 on verdict failures (search below the
 bound, refuted rank condition, failed structure match, triangularization
-errors), 2 on parse or validation problems (with a machine-readable error
-object on stderr).
+errors or a P that verify_triangular rejects), 2 on parse or validation
+problems (with a machine-readable error object on stderr).
 
 analyze, triangularize, search and verify-structure each return (results,
 ok), and one writer turns that into the report written to ``-o`` or stdout:
@@ -30,15 +30,13 @@ from .invariant_spaces import DEFAULT_SEARCH_GUARD, search_max_dimension
 from .numberfield import ExtensionLimitError
 from .serialize import (SchemaError, dumps_canonical, read_subspace,
                         to_jsonable, write_subspace)
-from .triangularize import (InconsistentFamilyError, InvariantFailureError,
-                            triangularize_rank_one, verify_triangular)
+from .triangularize import InconsistentFamilyError, triangularize_rank_one, verify_triangular
 from .verify import structure_check
 
 # parsed arguments a report does not echo under "args": the verb, its
 # function and the output path; seed and trials sit at the top level
 _UNECHOED = frozenset(("command", "func", "output", "seed", "trials"))
 _TRIANGULARIZE_ERRORS = {InconsistentFamilyError: "INCONSISTENT",
-                         InvariantFailureError: "INVARIANT_FAILURE",
                          ExtensionLimitError: "EXTENSION_LIMIT"}
 
 
@@ -108,14 +106,13 @@ def _cmd_triangularize(args):
             error["witness_commutator_rank"] = exc.comm.rank()
             if exc.reference_pair is not None:
                 error["reference_pair"] = to_jsonable(list(exc.reference_pair))
-        elif isinstance(exc, InvariantFailureError):
-            error["witness_member"] = to_jsonable(exc.member)
         return {"error": error}, False
+    verified = verify_triangular(v, res.P)
     return {
         "P": to_jsonable(res.P),
         "field": to_jsonable(res.field),
-        "verified_upper_triangular": verify_triangular(v, res.P),
-    }, True
+        "verified_upper_triangular": verified,
+    }, verified
 
 
 def _cmd_search(args):

@@ -236,11 +236,14 @@ def triangular_closure(spec):
 
 def is_triangular_invariant(v):
     """Exact test of invariance under all invertible upper-triangular
-    conjugations, via the finite generator conditions: closure under
-    commutation with every elementary E_ij (i < j), closure under the
-    quadratic term E_ij A E_ij, and diagonal grading.  V is graded (fixed
-    by the diagonal torus) iff every off-diagonal position in the support
-    of a member spans a unit line of V."""
+    conjugations, via the finite generator conditions: diagonal grading and
+    closure under commutation with every elementary E_ij (i < j).  V is
+    graded (fixed by the diagonal torus) iff every off-diagonal position in
+    the support of a member spans a unit line of V.  Conjugation by
+    I + t E_ij also has the quadratic term -t^2 E_ij A E_ij = -t^2 a_ji E_ij,
+    and closure under it is implied over Q: when a member has a_ji != 0, the
+    grading puts E_ji in V, closure under ad E_ij then puts E_ii - E_jj in V,
+    and [E_ij, E_ii - E_jj] = -2 E_ij puts E_ij there too."""
     n = v.n
     # the flat index f = i*n + j of an entry is on the diagonal iff n + 1 divides it
     support = {divmod(f, n) for a in v.basis for f, x in enumerate(a.entries)
@@ -250,11 +253,8 @@ def is_triangular_invariant(v):
     for i in range(n):
         for j in range(i + 1, n):
             e = Mat.unit(n, i, j)
-            for a in v.basis:
-                if not v.contains(commutator(a, e)):
-                    return False
-                if a.entries[j * n + i] and not v.contains(e):
-                    return False
+            if not all(v.contains(commutator(a, e)) for a in v.basis):
+                return False
     return True
 
 

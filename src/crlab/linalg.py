@@ -40,15 +40,6 @@ n − k rows of P^{-1}, W = span(v_i) is invariant under A iff (pi' A) W = 0,
 and then the block of P^{-1} A P on Q^n / W is pi' A read at the columns
 c of P's unit vectors e_c.
 
-Median ``adj_wall_s`` over 10 alternating pairs of 20-s runs (2 shared
-vCPUs, Python 3.11.7): the fraction-free :func:`_echelon` took ``files`` from
-1.050 to 0.986 s and ``search`` from 0.0656 to 0.0573 s; products run on
-the integer form took ``files`` from 0.968 to 0.817 s (10 of 10 pairs
-faster).  Sparse rows in :func:`_combine`, the integer Faddeev–LeVerrier
-loop and products that build no Fraction took ``files`` from 0.785 to
-0.699 s at seed 0 and from 0.793 to 0.695 s at seed 1 (10 alternating
-pairs of 10-s runs each, 10 of 10 faster), with ``search`` unchanged.
-
 The two integer eliminations stay separate because each is faster at its
 own job (2 vCPUs, Python 3.11.7).  A primitive-row echelon for the
 sampler's rank takes 32.6 µs per commutator against 18.3 µs for Bareiss,

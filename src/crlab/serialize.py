@@ -163,18 +163,17 @@ def read_subspace(path):
 
 
 def to_jsonable(obj):
-    """Recursive encoder for report objects: exact scalars become strings,
-    matrices become row lists, dataclasses become dicts."""
+    """Recursive encoder for report objects: dataclasses become dicts,
+    matrices row lists of exact scalar strings, a number field its minpoly.
+    Reports hold only these, ints, strings, bools, None, dicts, lists,
+    tuples and frozensets: a bare scalar or a space is refused, and
+    :func:`subspace_to_dict` is the one encoder of a space."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return scalar_to_str(obj)
     if isinstance(obj, NumberField):
         return {"minpoly": [scalar_to_str(c) for c in obj.minpoly]}
     if isinstance(obj, Mat):
         return _mat_to_rows(obj)
-    if isinstance(obj, MatrixSubspace):
-        return subspace_to_dict(obj)
     if dataclasses.is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

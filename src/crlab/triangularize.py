@@ -13,17 +13,22 @@ every pair.
 Triangularization then recurses on a proper invariant subspace: pick a
 non-scalar member A, an exact eigenvalue lambda, and the singular shift
 B0 = A - lambda*I; the kernel of B0 is tried first, and when some member maps
-it outside, the range of B0 is invariant instead.  For x in ker B0 and any
-member M, B0(Mx) = -[M, A]x.  In a LEFT family every [M, A] has columns on
-the shared u, so a kernel that is not invariant puts u in range B0; in a
-RIGHT family [M, A] = u_M v^T, and a kernel vector x0 with v^T x0 != 0
-gives u_M = -B0(M x0) / (v^T x0) in range B0 for every M.  Either way
-range B0 is invariant, restrictions and quotients keep the shared direction,
-and one recursion serves LEFT, RIGHT and commuting families alike (a failure
-of both subspaces would exhibit a rank-two commutator, reported with a
-witness).  Each step is the one quotient step of :mod:`crlab.linalg`:
-:func:`~crlab.linalg.invariant_split` at the kernel, then at the range, tests
-invariance and gives P with the blocks on W and on Q^n / W to recurse on.
+it outside, the range of B0 is invariant instead.  One of the two always
+is, because the classification has certified a shared direction.  For x in
+ker B0 and any member M, B0(Mx) = [A, M]x.  LEFT: every [A, M] has its
+columns on the shared u, so B0(Mx) lies in span(u); a kernel that is not
+invariant has some B0(Mx) != 0, which puts u in range B0, and then
+M B0 z = B0 M z + [M, A] z stays in range B0 for every z.  RIGHT:
+[A, M] = u_M v^T, and a kernel that is not invariant has a vector x0 with
+v^T x0 != 0, so u_M = B0(M x0) / (v^T x0) is in range B0 for every M, and
+range B0 is invariant as in LEFT.  ZERO: every member commutes with B0, so
+the kernel is invariant.  The blocks of a family on an invariant W and on
+Q^n / W keep a shared direction, or else they commute, and adjoining a
+field changes none of this, so one recursion serves LEFT, RIGHT and
+commuting families alike and no step can fail.  Each step is the one
+quotient step of :mod:`crlab.linalg`: :func:`~crlab.linalg.invariant_split`
+at the kernel, then at the range, tests invariance and gives P with the
+blocks on W and on Q^n / W to recurse on.
 
 Eigenvalues are the roots of linear factors of characteristic polynomials
 over the current field, Q at the start.  When no candidate member has one,
@@ -54,7 +59,6 @@ __all__ = [
     "RankOneFamily",
     "TriangularizationResult",
     "InconsistentFamilyError",
-    "InvariantFailureError",
     "classify_rank_one_family",
     "triangularize_rank_one",
     "verify_triangular",
@@ -75,15 +79,6 @@ class InconsistentFamilyError(ValueError):
         self.comm = comm
         self.reference_pair = reference_pair
         super().__init__(message)
-
-
-class InvariantFailureError(ValueError):
-    """Neither the kernel nor the range of the singular pivot member is
-    invariant; carries a member that moves the range as a witness."""
-
-    def __init__(self, member):
-        self.member = member
-        super().__init__("no invariant subspace from the singular member")
 
 
 @dataclass(frozen=True)
@@ -178,13 +173,8 @@ def _triangularize_family(mats, n, field, rng):
     if n == 1 or all(m.is_upper_triangular() for m in mats):
         return _lift(Mat.identity(n), field), field
     b0, field, mats = _find_singular_shift(mats, field, rng)
-    split = invariant_split(mats, b0.kernel_basis(), n)
-    if split is None:
-        image = column_space(b0)
-        split = invariant_split(mats, image, n)
-        if split is None:
-            moved = (a for a in mats if invariant_split([a], image, n) is None)
-            raise InvariantFailureError(next(moved))
+    split = (invariant_split(mats, b0.kernel_basis(), n)
+             or invariant_split(mats, column_space(b0), n))  # never both None: module docstring
     m = split.dim
     p_top, field = _triangularize_family(split.tops(), m, field, rng)
     p_bot, field = _triangularize_family([_lift(q, field) for q in split.quotients],

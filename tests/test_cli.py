@@ -322,6 +322,15 @@ def test_triangularize_command(tmp_path, capsys):
     assert res["verified_upper_triangular"] is True
 
 
+def test_triangularize_whose_check_fails_exits_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "v.json"
+    write_subspace(path, span([Mat.diagonal([1, 2])]))
+    monkeypatch.setattr("crlab.cli.verify_triangular", lambda v, p: False)
+    assert run_cli("triangularize", str(path)) == 1
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["verified_upper_triangular"] is False and res["P"] == [["1", "0"], ["0", "1"]]
+
+
 def test_triangularize_inconsistent_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     write_subspace(path, span([Mat.unit(2, 0, 1), Mat.unit(2, 1, 0)]))
@@ -508,6 +517,14 @@ def test_selftest_command(capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_selftest_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("crlab.commrank.dimension_bound", lambda n, k: 0)
+    assert run_cli("selftest") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  closed forms: bound(n,0) = floor(n^2/4)+1 for n <= 50" in out
+    assert "PASS  bidiagonal witness commutator matches the closed form" in out
 
 
 def test_console_entry_point():

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crlab.invariant_spaces as invariant_spaces
 from crlab.commrank import (dimension_bound, max_commutator_rank,
@@ -133,6 +135,46 @@ def test_is_triangular_invariant_examples():
     # in the support of a member without being a unit line of the space
     for n in (2, 3, 4):
         assert not is_triangular_invariant(span([Mat.identity(n) + Mat.unit(n, 0, n - 1)]))
+
+
+def test_graded_space_open_to_a_commutator_is_not_invariant():
+    # graded, since E_10 is a unit line, but [E_00 - E_11, E_01] = 2 E_01 is not in it
+    v = span([Mat.unit(2, 0, 0) - Mat.unit(2, 1, 1), Mat.unit(2, 1, 0)])
+    assert not v.contains(Mat.unit(2, 0, 1))
+    assert not is_triangular_invariant(v)
+
+
+def _borel_generators(n):
+    """I + E_ij (i < j) and diag(2, 3, 5, 7)[:n].  They generate a
+    Zariski-dense subgroup of the invertible upper triangular group (2, 3,
+    5, 7 are multiplicatively independent), and a stabilizer is Zariski
+    closed, so a space is invariant iff each of them fixes it."""
+    return ([Mat.identity(n) + Mat.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+            + [Mat.diagonal((2, 3, 5, 7)[:n])])
+
+
+@st.composite
+def _small_spans(draw):
+    """A span in M_n, n <= 4: graded (unit lines and diagonal members) or
+    spanned by small integer matrices."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        units = draw(st.sets(st.sampled_from(off))) if off else set()
+        diagonals = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+        mats = [Mat.unit(n, i, j) for i, j in units] + [Mat.diagonal(d) for d in diagonals]
+    else:
+        entries = st.lists(small, min_size=n * n, max_size=n * n)
+        mats = [Mat(n, n, e) for e in draw(st.lists(entries, max_size=4))]
+    return span(mats, n, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_spans())
+def test_is_triangular_invariant_matches_its_definition(v):
+    assert is_triangular_invariant(v) == all(v.conjugate(g) == v
+                                             for g in _borel_generators(v.n))
 
 
 def test_realized_spaces_invariant_under_random_conjugations():

@@ -2,8 +2,11 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from crlab import verify
-from crlab.commrank import check_dimension_bound, compression_split
+from crlab.commrank import (BoundReport, CommutatorProfile, check_dimension_bound,
+                            compression_split)
 from crlab.constructions import (exceptional_extremal_space, extremal_space,
                                  firstcol_zero_space, flanders_space,
                                  lastrow_zero_space, rank_one_max_space,
@@ -258,3 +261,81 @@ def test_algebra_report_firstcol_space():
 def test_algebra_report_non_algebra():
     r = algebra_structure_report(span([Mat.unit(2, 0, 1), Mat.unit(2, 1, 0)]), 16, 7)
     assert not r.passed and not r.is_algebra and r.structure is None
+
+
+# -- the no-match exits ----------------------------------------------------------------
+
+def _band(n, skip=()):
+    """The free top row: E_0j for every j not in skip."""
+    return [Mat.unit(n, 0, j) for j in range(n) if j not in skip]
+
+
+def _below(mats):
+    """Each square matrix as the lower-right block under a zero first row and column."""
+    return [block_diag(Mat.from_rows([[0]]), m) for m in mats]
+
+
+def _at_the_bound(v, pair):
+    """A hand-built bound report of v with slack 0 and ``pair`` as its witness."""
+    rank = commutator(*pair).rank()
+    profile = CommutatorProfile(probable_max=rank, witness=pair, trials=1, seed=0)
+    return BoundReport("PASS", v.n, v.dim, rank, v.dim, 0, profile, "")
+
+
+E = Mat.unit
+_RANDOM = span([random_matrix(4, 4, 3, i) for i in range(5)])
+_NO_MATCH_DETAIL = ("equality dimension but no recovered similarity; "
+                    "reported as-is, never decided by fiat")
+# (space, witness pair, rank of its commutator, the exit the column side takes:
+# None when it does not fire, else whether the quotient goes to the exceptional
+# matcher, which then returns None)
+_NO_MATCH_CASES = {
+    # the diagonal algebra of M_4 below the band: a 4-dimensional strip is
+    # no valid split and m = 4 has no exceptional form
+    "strip_of_dimension_four": (
+        span(_band(5) + _below([E(4, i, i) for i in range(4)])), (E(5, 0, 0), E(5, 0, 3)), 1, False),
+    # the scalars of M_3 below the band: a 1-dimensional quotient space at m = 3
+    "quotient_too_small": (
+        span(_band(4) + _below([Mat.identity(3)])), (E(4, 0, 0), E(4, 0, 2)), 1, True),
+    # no non-scalar member of the quotient has a rational eigenvalue
+    "irrational_eigenvalues": (
+        span(_band(3) + _below([Mat.identity(2), Mat.from_rows([[0, 2], [1, 0]])])),
+        (E(3, 0, 0), E(3, 0, 1)), 1, True),
+    # the Schur test fails and every member of span(I, E_01, E_02) is derogatory
+    "derogatory_quotient": (
+        span(_band(4, skip=(3,)) + _below([Mat.identity(3), E(3, 0, 1), E(3, 0, 2)])),
+        (E(4, 0, 0), E(4, 0, 1)), 1, True),
+    # five random members of M_4: neither side fires
+    "random_span": (_RANDOM, (_RANDOM.basis[0], _RANDOM.basis[4]), 3, None),
+}
+
+
+@pytest.mark.parametrize("name", _NO_MATCH_CASES)
+def test_recognize_reports_no_match(name):
+    v, pair, rank, exceptional = _NO_MATCH_CASES[name]
+    comm = commutator(*pair)
+    assert comm.rank() == rank
+    split = compression_split(v.basis, comm)
+    if exceptional is None:
+        assert split is None
+        assert compression_split([b.transpose() for b in v.basis], comm.transpose()) is None
+    else:
+        assert split is not None and split.dim == rank
+        assert verify._match_block_form(v, 0, False, split) is None
+        m = v.n - split.dim
+        if exceptional:
+            assert verify._match_exceptional(span(split.quotients, m, m), 0) is None
+        else:
+            assert m not in (2, 3)
+    verdict = verify._recognize(v, _at_the_bound(v, pair), 0)
+    assert verdict == verify.StructureVerdict("NO_MATCH", k_hat=rank, detail=_NO_MATCH_DETAIL)
+    assert not verdict.matched
+
+
+def test_algebra_report_off_the_bound():
+    v = _NO_MATCH_CASES["strip_of_dimension_four"][0]
+    r = algebra_structure_report(v, 32, 7)
+    assert r.is_algebra and not r.passed and (r.dim, r.k_hat, r.bound) == (9, 1, 10)
+    assert r.structure.status == "NOT_EQUALITY_CASE"
+    assert r.structure.detail == "dim 9 vs bound 10 at sampled rank 1"
+    assert r.note == "algebra but structure recovery did not confirm the extremal form"
