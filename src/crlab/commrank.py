@@ -23,7 +23,9 @@ replace the kept pair, so the scan stops.  :func:`compression_split` is
 that test, on the one quotient step :func:`~crlab.linalg.invariant_split`;
 the row side is the same test on the transposes.  Each extremal space
 V_{k,l} passes with its k-dimensional core as W, and its transpose passes
-on the row side.
+on the row side.  The scan hands on the splits it tried on its kept pair,
+so the structure check reuses the one that fired instead of splitting the
+same W again.
 
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
 commutator of two generic elements are computed by sympy as polynomials in the
@@ -102,17 +104,20 @@ class BoundReport:
 
 
 def _scan(v, trials, seed, stop_above):
-    """The best sampled pair of ``v`` as a :class:`CommutatorProfile`.
+    """(profile, sides): the best sampled pair of ``v`` as a
+    :class:`CommutatorProfile`, and the :func:`_ceiling_splits` tried on
+    that pair's commutator (empty when none was tried).
 
     ``v`` is anything with ``n`` and ``integer_basis()`` (a MatrixSubspace or
     an InvariantSpaceSpec).  Each trial draws the d coefficients of A, then
     the d coefficients of B; a pair is kept if its exact commutator rank beats
     every earlier one, and sampling stops once a rank exceeds ``stop_above``,
-    or once :func:`_proves_ceiling` shows that no pair can beat the kept one.
-    The basis is scaled by the lcm of its denominators, which changes no
-    commutator rank, so pairs are combined, commuted and ranked over Python
-    ints; its rows are stripped to their nonzero entries once per scan, so
-    each combination walks only those (echelon bases are mostly zeros).
+    or once a split in :func:`_ceiling_splits` shows that no pair can beat the
+    kept one.  The basis is scaled by the lcm of its denominators, which
+    changes no commutator rank, so pairs are combined, commuted and ranked
+    over Python ints; its rows are stripped to their nonzero entries once per
+    scan, so each combination walks only those (echelon bases are mostly
+    zeros).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -122,7 +127,7 @@ def _scan(v, trials, seed, stop_above):
     rows = _sparse(basis)
     rng = random.Random(seed)
     bound = ENTRY_BOUND
-    best, a_best, b_best = -1, None, None
+    best, a_best, b_best, sides = -1, None, None, {}
     for left in range(trials - 1, -1, -1):
         ca = [rng.randint(-bound, bound) for _ in rows]
         cb = [rng.randint(-bound, bound) for _ in rows]
@@ -130,22 +135,30 @@ def _scan(v, trials, seed, stop_above):
         comm = _commutator_rows(a, b, n)
         r = _bareiss([row[:] for row in comm])[0]
         if r > best:
-            best, a_best, b_best = r, a, b
-            if r > stop_above or (left and _proves_ceiling(basis, comm, n)):
+            best, a_best, b_best, sides = r, a, b, {}
+            if r > stop_above:
                 break
+            if left:
+                sides = _ceiling_splits(basis, comm, n)
+                if any(sides.values()):
+                    break
     witness = tuple(Mat.from_scaled(n, n, scale, m) for m in (a_best, b_best))
-    return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed)
+    return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed), sides
 
 
-def _proves_ceiling(basis, comm, n):
-    """Is rank [A, B] <= rank [a, b] for every A, B in span(basis)?  True
-    when :func:`compression_split` fires on the columns, or else the rows,
-    of comm = [a, b]; False says nothing.  ``basis`` holds flat row-major
+def _ceiling_splits(basis, comm, n):
+    """The :func:`compression_split` of each side tried on comm = [a, b],
+    keyed by ``transposed``: the columns of comm first, its rows (on the
+    transposed matrices) only when the columns do not fire.  A split on
+    either side proves rank [A, B] <= rank [a, b] for every A, B in
+    span(basis); two Nones say nothing.  ``basis`` holds flat row-major
     integer matrices, ``comm`` the rows of [a, b]."""
     mats = [Mat.from_scaled(n, n, 1, m) for m in basis]
     comm = Mat.from_scaled(n, n, 1, [x for row in comm for x in row])
-    return (compression_split(mats, comm) is not None
-            or compression_split([m.transpose() for m in mats], comm.transpose()) is not None)
+    sides = {False: compression_split(mats, comm)}
+    if sides[False] is None:
+        sides[True] = compression_split([m.transpose() for m in mats], comm.transpose())
+    return sides
 
 
 def compression_split(mats, comm):
@@ -167,7 +180,7 @@ def compression_split(mats, comm):
 def max_commutator_rank(v, trials, seed):
     """Sampled maximum of rank[A, B]; the maximizing pair is kept as witness
     and reproduces ``probable_max``.  Deterministic in (v, trials, seed)."""
-    return _scan(v, trials, seed, v.n - 1)
+    return _scan(v, trials, seed, v.n - 1)[0]
 
 
 def satisfies_rank_condition(v, k, trials, seed):
@@ -180,7 +193,7 @@ def satisfies_rank_condition(v, k, trials, seed):
     """
     if not 0 <= k < v.n:
         raise ValueError("need 0 <= k < n")
-    return _scan(v, trials, seed, k).verdict(k)
+    return _scan(v, trials, seed, k)[0].verdict(k)
 
 
 def dimension_bound(n, k):
@@ -200,9 +213,13 @@ def check_dimension_bound(v, trials, seed):
     certifies k̂ as a lower bound, and a larger true k only loosens the
     bound), never a disproof.
     """
+    return _bound_report(v, max_commutator_rank(v, trials, seed))
+
+
+def _bound_report(v, profile):
+    """The :class:`BoundReport` of v at the k̂ of ``profile``, a scan of v."""
     n = v.n
     d = v.dim
-    profile = max_commutator_rank(v, trials, seed)
     k_hat = profile.probable_max
     if k_hat >= n:
         return BoundReport("NOT_APPLICABLE", n, d, k_hat, None, None, profile,

@@ -5,7 +5,9 @@ The structure check reads the core off the sampled profile: when the
 witness commutator's column span W passes the scan's rank ceiling
 (:func:`~crlab.commrank.compression_split`, on the one quotient step
 :func:`~crlab.linalg.invariant_split`), W is the core, and the split gives
-the change of basis and the quotient blocks.  The middle strip comes from
+the change of basis and the quotient blocks.  The scan hands on the split
+that proved its ceiling, so the core is split once per input; only a side
+the scan did not test is split here.  The middle strip comes from
 the nilpotent parts of the quotient action, and a candidate similarity is
 accepted only when conjugation lands exactly on the canonical construction
 (span equality, no tolerance).
@@ -24,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .commrank import check_dimension_bound, compression_split
+from .commrank import _bound_report, _scan, compression_split
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
 from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, commutator,
                      mat_from_columns, probe_members)
@@ -98,11 +100,14 @@ def flanders_check(v, trials, seed):
 def structure_check(v, trials, seed):
     """Try to recognize an equality-case space as the canonical block
     construction (or its transpose, or a small-n exceptional variant)."""
-    return _recognize(v, check_dimension_bound(v, trials, seed), seed)
+    profile, sides = _scan(v, trials, seed, v.n - 1)
+    return _recognize(v, _bound_report(v, profile), seed, sides)
 
 
-def _recognize(v, report, seed):
-    """The structure verdict of v, given its dimension-bound report.
+def _recognize(v, report, seed, sides):
+    """The structure verdict of v, given its dimension-bound report and
+    ``sides``, the splits its scan tried on the witness pair (keyed by
+    ``transposed``, as :func:`~crlab.commrank._ceiling_splits` returns them).
 
     A side is tried only when :func:`~crlab.commrank.compression_split`
     fires on the witness commutator C, of rank k = k̂: on the column side
@@ -114,16 +119,28 @@ def _recognize(v, report, seed):
     columns and a commutative quotient, its k is k̂ (the bound is strictly
     increasing in k), so W, k-dimensional inside the core, is the core and
     the column side fires; for its transpose the row side fires.
+
+    A side in ``sides`` is not tested again: the scan split the integer
+    basis of v (transposed for the row side) at the same W, so its quotients
+    are positive multiples, or another basis, of the ones split here, and
+    the strip, the quotient span and the witness are the same.  Only a side
+    the scan did not test is split: every side when its ceiling was never
+    tried, the row side when the matcher rejects a column split.
     """
     k = report.k_hat
     if report.slack != 0:  # None when no k < n applies
         return StructureVerdict("NOT_EQUALITY_CASE", k_hat=k,
                                 detail=f"dim {v.dim} vs bound {report.bound} at sampled rank {k}")
-    comm = commutator(*report.profile.witness)
     for transposed in (False, True):
-        w = v.transpose_space() if transposed else v  # built only when v fails
-        split = compression_split(w.basis, comm.transpose() if transposed else comm)
+        if transposed in sides:
+            split = sides[transposed]
+        else:
+            mats, comm = v.basis, commutator(*report.profile.witness)
+            if transposed:
+                mats, comm = [b.transpose() for b in mats], comm.transpose()
+            split = compression_split(mats, comm)
         if split is not None:
+            w = v.transpose_space() if transposed else v  # built only when its split fires
             verdict = _match_block_form(w, seed, transposed, split)
             if verdict is not None:
                 return verdict
@@ -232,8 +249,9 @@ def algebra_structure_report(v, trials, seed):
     """Combined verdict: closure under products, dimension at the sampled
     rank level, and the recovered block structure."""
     alg = v.is_algebra()
-    report = check_dimension_bound(v, trials, seed)
-    structure = _recognize(v, report, seed) if alg else None
+    profile, sides = _scan(v, trials, seed, v.n - 1)
+    report = _bound_report(v, profile)
+    structure = _recognize(v, report, seed, sides) if alg else None
     ok = alg and structure.matched
     if not alg:
         note = "not an algebra; the block-structure classification covers algebras only"

@@ -273,38 +273,38 @@ def _conjugated(v, rng):
     return v.conjugate(q)
 
 
-def test_scan_matches_a_fraction_loop_draw_for_draw(monkeypatch):
+def test_scan_matches_a_fraction_loop_draw_for_draw():
     rng = random.Random(53)
     spaces = [(_conjugated(extremal_space(n, k, l), rng), None)
               for n, k, l in ((4, 1, 1), (5, 2, 1), (6, 2, 2))]
     spec = InvariantSpaceSpec(4, frozenset({(0, 1), (0, 3), (2, 3), (1, 2)}),
                               ((0, 2), (1, 3)), frozenset({(2, 0)}))
     spaces.append((spec, spec.realize().basis))
-    # spaces whose rank ceiling is proven by the column side or the row side
-    ceilinged = [_conjugated(v, rng) for v in (
-        extremal_space(4, 0, 2), extremal_space(5, 2, 1).transpose_space(),
-        lastrow_zero_space(4), firstcol_zero_space(4),
-        exceptional_extremal_space(4, 1, "nil2"))]
-    spaces += [(v, None) for v in ceilinged]
+    # spaces whose rank ceiling is proven by the column side (transposed
+    # False) or the row side (True)
+    ceilinged = [(_conjugated(v, rng), transposed) for v, transposed in (
+        (extremal_space(4, 0, 2), False), (extremal_space(5, 2, 1).transpose_space(), True),
+        (lastrow_zero_space(4), False), (firstcol_zero_space(4), True),
+        (exceptional_extremal_space(4, 1, "nil2"), False))]
+    spaces += [(v, None) for v, _ in ceilinged]
     assert any(x.denominator > 1 for b in spaces[0][0].basis for x in b.data)
-    ceilings = []  # every result of the scan's ceiling test
-    proves = commrank._proves_ceiling
-
-    def recording(*args):
-        ceilings.append(proves(*args))
-        return ceilings[-1]
-
-    monkeypatch.setattr(commrank, "_proves_ceiling", recording)
     for v, basis in spaces:
         basis = v.basis if basis is None else basis
         for seed in range(3):
-            ceilings.clear()
             best, pair, _ = _reference_scan(basis, v.n, 6, seed, v.n - 1)
             profile = max_commutator_rank(v, 6, seed)
             assert profile.probable_max == best
             assert profile.witness == pair
-            if any(v is w for w in ceilinged):
-                assert ceilings == [True]
+    # the first pair's ceiling fires on the expected side, the column side
+    # tried first, and the scan hands that split on
+    for v, transposed in ceilinged:
+        for seed in range(3):
+            profile, sides = commrank._scan(v, 6, seed, v.n - 1)
+            assert profile == max_commutator_rank(v, 6, seed)
+            assert list(sides) == [False, True][:transposed + 1]
+            assert sides[False] is None or not transposed
+            split = sides[transposed]
+            assert split is not None and split.dim == profile.probable_max
     # a rank-condition scan that stops at the first pair above k
     stopped = 0
     for v, basis in spaces:
@@ -381,5 +381,5 @@ def test_ceiling_refuses_a_commutator_below_the_maximum():
                 if commutator(*(Mat(n, n, m) for m in (a, b))).rank() < k:
                     below += 1
                     comm = commrank._commutator_rows(a, b, n)
-                    assert not commrank._proves_ceiling(basis, comm, n)
+                    assert not any(commrank._ceiling_splits(basis, comm, n).values())
         assert below

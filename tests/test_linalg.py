@@ -538,6 +538,42 @@ def test_product_over_a_number_field_agrees_with_sympy(case):
         assert _domain_rows(ours) == (_domain_matrix(left) * _domain_matrix(b)).to_list()
 
 
+def _mostly_zero(rows, cols, field):
+    """rows-by-cols lists from a drawn seed, each entry zero with
+    probability 0.8, as in echelon and adapted bases: elements of Q(cbrt 2)
+    when ``field``, else rationals."""
+    def build(seed):
+        rng = random.Random(seed)
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+        def entry():
+            if rng.random() < 0.8:
+                return _CBRT2.zero() if field else Fraction(0)
+            return _CBRT2.element([rational(), rational()]) if field else rational()
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+    return st.integers(0, 2 ** 32).map(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 6)] * 3).flatmap(lambda s: st.tuples(
+    _over_cbrt2(s[0], s[1]), _matrices(s[1], s[2]),
+    *(_mostly_zero(r, c, field) for field in (True, False) for r, c in ((s[0], s[1]), (s[1], s[2]))))))
+def test_products_with_a_rational_right_factor_or_mostly_zero_operands_agree_with_sympy(case):
+    a, q, za, zb, zq, zr = case  # z: mostly zeros, over Q(cbrt 2) (za, zb) or Q (zq, zr)
+    # a field left factor times a rational right one is P^{-1} A of the
+    # triangularizer's check; every entry of a product with a field operand
+    # is a field element, rows of zeros included
+    for left, right in ((a, q), (za, zr), (a, zr), (za, zb), (zq, zb)):
+        ours = Mat.from_rows(left) @ Mat.from_rows(right)
+        assert all(type(x) is type(_CBRT2.one()) for x in ours.entries)
+        assert _domain_rows(ours) == (_domain_matrix(left) * _domain_matrix(right)).to_list()
+    ours = Mat.from_rows(zq) @ Mat.from_rows(zr)
+    assert _as_sympy(ours) == _sympy_matrix(zq) * _sympy_matrix(zr)
+    _assert_canonical(ours)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_over_cbrt2(n, n), _over_cbrt2(n, n))))
 def test_commutator_over_a_number_field_agrees_with_sympy(pair):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from crlab import verify
+from crlab import commrank, verify
 from crlab.commrank import (BoundReport, CommutatorProfile, check_dimension_bound,
                             compression_split)
 from crlab.constructions import (exceptional_extremal_space, extremal_space,
@@ -214,17 +214,38 @@ def test_commutator_core_agrees_with_full_scan():
 
 
 
+def _record_splits(monkeypatch, split):
+    """Put ``split`` in place of compression_split where the scan's ceiling
+    (commrank) and the structure check (verify) call it; returns the list
+    each call appends (the calling module, whether it split) to."""
+    calls = []
+
+    def substitute(caller):
+        def recorded(mats, comm):
+            result = split(mats, comm)
+            calls.append((caller, result is not None))
+            return result
+        return recorded
+
+    for module in (commrank, verify):
+        monkeypatch.setattr(module, "compression_split", substitute(module.__name__))
+    return calls
+
+
 def test_structure_check_same_with_full_scan_core(monkeypatch):
     # transposed inputs: the column side does not fire, the row side matches;
     # splitting each side at the full scan's core, when it has dimension
-    # k = rank C, instead of at C's column span gives the same verdicts
+    # k = rank C, instead of at C's column span gives the same verdicts.  The
+    # substitute runs where the scan splits (its ceiling, whose split the
+    # matcher reuses) and where the structure check splits a side itself
+    # (one trial: no ceiling is tried)
     rng = random.Random(43)
     inputs = []
     for w, k, _, _ in _matchable_spaces(5):
         if k:
             v = w.conjugate(_invertible(w.n, rng.randint(0, 10 ** 6)))
             inputs += [v, v.transpose_space()]
-    verdicts = [structure_check(v, 32, 3) for v in inputs]
+    verdicts = {trials: [structure_check(v, trials, 3) for v in inputs] for trials in (1, 32)}
 
     def full_scan_split(mats, comm):
         n = comm.rows
@@ -235,9 +256,37 @@ def test_structure_check_same_with_full_scan_core(monkeypatch):
                               for i in range(n)])
         return compression_split(mats, cols)
 
-    monkeypatch.setattr(verify, "compression_split", full_scan_split)
-    assert [structure_check(v, 32, 3) for v in inputs] == verdicts
-    assert all(v.status != "NO_MATCH" for v in verdicts)
+    fired = _record_splits(monkeypatch, full_scan_split)
+    for trials, want in verdicts.items():
+        fired.clear()
+        assert [structure_check(v, trials, 3) for v in inputs] == want
+        assert all(v.status != "NO_MATCH" for v in want)
+        caller = "crlab.commrank" if trials > 1 else "crlab.verify"
+        assert {c for c, _ in fired} == {caller}
+        assert sum(hit for _, hit in fired) == len(inputs)
+
+
+def test_structure_check_splits_the_core_once(monkeypatch):
+    # the scan's ceiling fires on the column side of a conjugated V_{2,1} and
+    # on the row side of its transpose, after the silent column side, and the
+    # matcher takes that split: no second split of the same W, in the
+    # structure check or in the algebra report.  With one trial no ceiling
+    # is tried, so the structure check splits the same sides itself, to the
+    # same verdicts
+    v = extremal_space(5, 2, 1).conjugate(_invertible(5, 61))
+    calls = _record_splits(monkeypatch, compression_split)
+    for u, fired in ((v, [True]), (v.transpose_space(), [False, True])):
+        verdicts = {}
+        for trials, caller in ((32, "crlab.commrank"), (1, "crlab.verify")):
+            calls.clear()
+            verdicts[trials] = structure_check(u, trials, 5)
+            assert calls == [(caller, hit) for hit in fired]
+        assert verdicts[1] == verdicts[32] and verdicts[32].matched
+        assert verdicts[32].transposed == (u is not v)
+        calls.clear()
+        assert algebra_structure_report(u, 32, 5).structure == verdicts[32]
+        assert calls == [("crlab.commrank", hit) for hit in fired]
+
 
 # -- combined algebra reports ----------------------------------------------------------
 
@@ -327,7 +376,7 @@ def test_recognize_reports_no_match(name):
             assert verify._match_exceptional(span(split.quotients, m, m), 0) is None
         else:
             assert m not in (2, 3)
-    verdict = verify._recognize(v, _at_the_bound(v, pair), 0)
+    verdict = verify._recognize(v, _at_the_bound(v, pair), 0, {})
     assert verdict == verify.StructureVerdict("NO_MATCH", k_hat=rank, detail=_NO_MATCH_DETAIL)
     assert not verdict.matched
 
