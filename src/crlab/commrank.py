@@ -23,9 +23,10 @@ replace the kept pair, so the scan stops.  :func:`compression_split` is
 that test, on the one quotient step :func:`~crlab.linalg.invariant_split`;
 the row side is the same test on the transposes.  Each extremal space
 V_{k,l} passes with its k-dimensional core as W, and its transpose passes
-on the row side.  The scan hands on the splits it tried on its kept pair,
-so the structure check reuses the one that fired instead of splitting the
-same W again.
+on the row side.  The ceiling is tried on every pair the scan keeps, and
+the scan is the one place that splits at it: it hands on the side that
+fired and its split, which the structure check reads instead of splitting
+anything itself.
 
 For n <= 3 an exhaustive symbolic mode is available: all (k+1)-minors of the
 commutator of two generic elements are computed by sympy as polynomials in the
@@ -104,16 +105,16 @@ class BoundReport:
 
 
 def _scan(v, trials, seed, stop_above):
-    """(profile, sides): the best sampled pair of ``v`` as a
-    :class:`CommutatorProfile`, and the :func:`_ceiling_splits` tried on
-    that pair's commutator (empty when none was tried).
+    """(profile, ceiling): the best sampled pair of ``v`` as a
+    :class:`CommutatorProfile`, and the :func:`_ceiling` of that pair's
+    commutator (None when it did not fire).
 
     ``v`` is anything with ``n`` and ``integer_basis()`` (a MatrixSubspace or
     an InvariantSpaceSpec).  Each trial draws the d coefficients of A, then
     the d coefficients of B; a pair is kept if its exact commutator rank beats
     every earlier one, and sampling stops once a rank exceeds ``stop_above``,
-    or once a split in :func:`_ceiling_splits` shows that no pair can beat the
-    kept one.  The basis is scaled by the lcm of its denominators, which
+    or once the :func:`_ceiling` of a kept pair shows that no pair can beat
+    it.  The basis is scaled by the lcm of its denominators, which
     changes no commutator rank, so pairs are combined, commuted and ranked
     over Python ints; its rows are stripped to their nonzero entries once per
     scan, so each combination walks only those (echelon bases are mostly
@@ -127,38 +128,38 @@ def _scan(v, trials, seed, stop_above):
     rows = _sparse(basis)
     rng = random.Random(seed)
     bound = ENTRY_BOUND
-    best, a_best, b_best, sides = -1, None, None, {}
-    for left in range(trials - 1, -1, -1):
+    best, a_best, b_best, ceiling = -1, None, None, None
+    for _ in range(trials):
         ca = [rng.randint(-bound, bound) for _ in rows]
         cb = [rng.randint(-bound, bound) for _ in rows]
         a, b = _combine(rows, ca, size), _combine(rows, cb, size)
         comm = _commutator_rows(a, b, n)
         r = _bareiss([row[:] for row in comm])[0]
         if r > best:
-            best, a_best, b_best, sides = r, a, b, {}
+            best, a_best, b_best = r, a, b
             if r > stop_above:
                 break
-            if left:
-                sides = _ceiling_splits(basis, comm, n)
-                if any(sides.values()):
-                    break
+            ceiling = _ceiling(basis, comm, n)
+            if ceiling is not None:
+                break
     witness = tuple(Mat.from_scaled(n, n, scale, m) for m in (a_best, b_best))
-    return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed), sides
+    return CommutatorProfile(probable_max=best, witness=witness, trials=trials, seed=seed), ceiling
 
 
-def _ceiling_splits(basis, comm, n):
-    """The :func:`compression_split` of each side tried on comm = [a, b],
-    keyed by ``transposed``: the columns of comm first, its rows (on the
-    transposed matrices) only when the columns do not fire.  A split on
+def _ceiling(basis, comm, n):
+    """(transposed, split) for the first side of comm = [a, b] on which
+    :func:`compression_split` fires, its columns before its rows (the rows
+    on the transposed matrices), or None when neither fires.  A split on
     either side proves rank [A, B] <= rank [a, b] for every A, B in
-    span(basis); two Nones say nothing.  ``basis`` holds flat row-major
-    integer matrices, ``comm`` the rows of [a, b]."""
+    span(basis); None says nothing.  ``basis`` holds flat row-major integer
+    matrices, ``comm`` the rows of [a, b]."""
     mats = [Mat.from_scaled(n, n, 1, m) for m in basis]
     comm = Mat.from_scaled(n, n, 1, [x for row in comm for x in row])
-    sides = {False: compression_split(mats, comm)}
-    if sides[False] is None:
-        sides[True] = compression_split([m.transpose() for m in mats], comm.transpose())
-    return sides
+    split = compression_split(mats, comm)
+    if split is not None:
+        return False, split
+    split = compression_split([m.transpose() for m in mats], comm.transpose())
+    return None if split is None else (True, split)
 
 
 def compression_split(mats, comm):

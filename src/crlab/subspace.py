@@ -95,24 +95,10 @@ class MatrixSubspace:
     # -- algebraic predicates --------------------------------------------------
 
     def is_algebra(self):
-        """Closed under products?  Checking basis pairs suffices by bilinearity.
-
-        Each product B_i B_j of the integer rows B_p = L b_p is formed in
-        ints, row i of it the combination of the rows of B_j by row i of B_i,
-        walking only the nonzero entries of the sparse echelon rows, and is
-        then asked of the span as an integer matrix.
-        """
+        """Closed under products?  Checking basis pairs suffices by bilinearity."""
         if not self.is_square:
             raise ValueError("square spaces only")
-        n = self.n
-        rows = self.integer_basis()[1]
-        for b in rows:
-            b_rows = _sparse(b[i:i + n] for i in range(0, n * n, n))
-            for a in rows:
-                prod = [x for i in range(0, n * n, n) for x in _combine(b_rows, a[i:i + n], n)]
-                if not self._span.contains(Mat.from_scaled(n, n, 1, prod)):
-                    return False
-        return True
+        return all(self.contains(a @ b) for a in self.basis for b in self.basis)
 
     # -- sampling ---------------------------------------------------------------
 

@@ -5,31 +5,31 @@ The structure check reads the core off the sampled profile: when the
 witness commutator's column span W passes the scan's rank ceiling
 (:func:`~crlab.commrank.compression_split`, on the one quotient step
 :func:`~crlab.linalg.invariant_split`), W is the core, and the split gives
-the change of basis and the quotient blocks.  The scan hands on the split
-that proved its ceiling, so the core is split once per input; only a side
-the scan did not test is split here.  The middle strip comes from
-the nilpotent parts of the quotient action, and a candidate similarity is
-accepted only when conjugation lands exactly on the canonical construction
-(span equality, no tolerance).
+the change of basis and the quotient blocks.  The scan is the one place
+that splits: it hands on the side that fired and its split, so the core is
+split once per input and nothing here splits or transposes a basis.  The
+middle strip comes from the nilpotent parts of the quotient action, and a
+candidate similarity is accepted only when conjugation lands exactly on the
+canonical construction (span equality, no tolerance).
 
 An exceptional quotient (``diag``, ``nil1_plus_scalar`` or ``nil2``) is the
 algebra of polynomials in any of its nonderogatory members, and the tag is
 fixed by the eigenvalue multiplicities of such a member: all 1, (2, 1) or
 (3).  One Krylov matcher covers the three: it conjugates a member onto the
-Jordan matrix with the same eigenvalues through their Krylov bases.
-Randomness only enters through the sampled commutator-rank level and the
-choice of that member.
+Jordan matrix with the same eigenvalues through their Krylov bases.  The
+member is found on a fixed grid, so the scan that samples the
+commutator-rank level is the structure check's only random input.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, product
 
-from .commrank import _bound_report, _scan, compression_split
+from .commrank import _bound_report, _scan
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
-from .linalg import (Mat, VectorSpan, adapted_basis, block_diag, commutator,
-                     mat_from_columns, probe_members)
+from .linalg import Mat, VectorSpan, adapted_basis, block_diag, mat_from_columns, probe_members
 from .numberfield import irreducible_factors
 from .subspace import MatrixSubspace
 
@@ -100,56 +100,48 @@ def flanders_check(v, trials, seed):
 def structure_check(v, trials, seed):
     """Try to recognize an equality-case space as the canonical block
     construction (or its transpose, or a small-n exceptional variant)."""
-    profile, sides = _scan(v, trials, seed, v.n - 1)
-    return _recognize(v, _bound_report(v, profile), seed, sides)
+    profile, ceiling = _scan(v, trials, seed, v.n - 1)
+    return _recognize(v, _bound_report(v, profile), ceiling)
 
 
-def _recognize(v, report, seed, sides):
+def _recognize(v, report, ceiling):
     """The structure verdict of v, given its dimension-bound report and
-    ``sides``, the splits its scan tried on the witness pair (keyed by
-    ``transposed``, as :func:`~crlab.commrank._ceiling_splits` returns them).
+    ``ceiling``, the ``(transposed, split)`` that its scan's
+    :func:`~crlab.commrank._ceiling` returned on the witness commutator C
+    (None when no side fired).  A firing W, the column span of C (of its
+    transpose on the row side), holds every commutator's columns and is
+    invariant, so it is the core; only the side that fired is matched.
 
-    A side is tried only when :func:`~crlab.commrank.compression_split`
-    fires on the witness commutator C, of rank k = k̂: on the column side
-    W, the column span of C, is invariant and the quotient action commutes;
-    the row side is the same test on the transposed space.  A firing W holds
-    every commutator's columns and is invariant, so it is the core.  Skipping
-    a silent side is exact: a space similar to V_{k,l} or to an exceptional
-    space has a k-dimensional invariant core holding every commutator's
-    columns and a commutative quotient, its k is k̂ (the bound is strictly
-    increasing in k), so W, k-dimensional inside the core, is the core and
-    the column side fires; for its transpose the row side fires.
-
-    A side in ``sides`` is not tested again: the scan split the integer
-    basis of v (transposed for the row side) at the same W, so its quotients
-    are positive multiples, or another basis, of the ones split here, and
-    the strip, the quotient span and the witness are the same.  Only a side
-    the scan did not test is split: every side when its ceiling was never
-    tried, the row side when the matcher rejects a column split.
+    That is exact.  Slack 0 forces k̂ = k for a space similar to V_{k,l}, to
+    an exceptional space or to a transpose of one, since the bound is
+    strictly increasing in k; the k-dimensional W then lies in the
+    k-dimensional core, so the side of the construction fires.  The column
+    side never fires on a space similar to a transposed construction
+    [[X^T, 0], [Y^T, Z^T]] (I in the corner algebra) with k >= 1 and
+    n >= 3: Z_1 = I, Z_2 = 0 and X = 0 give commutators [[0, 0], [Y, 0]],
+    whose columns span 0 + Q^{n-k}, and when k >= 2 the [X_1, X_2] add all
+    of Q^k + 0; the columns span n - 1 > k dimensions at k = 1 and n > k
+    at k >= 2, so they fit in no k-dimensional W.  At
+    k = 0 and at n = 2 a transposed construction is similar to a
+    construction, which the column side matches.  The matchers are exact,
+    so a side that fires unmatched, or none firing, is ``NO_MATCH``.
     """
     k = report.k_hat
     if report.slack != 0:  # None when no k < n applies
         return StructureVerdict("NOT_EQUALITY_CASE", k_hat=k,
                                 detail=f"dim {v.dim} vs bound {report.bound} at sampled rank {k}")
-    for transposed in (False, True):
-        if transposed in sides:
-            split = sides[transposed]
-        else:
-            mats, comm = v.basis, commutator(*report.profile.witness)
-            if transposed:
-                mats, comm = [b.transpose() for b in mats], comm.transpose()
-            split = compression_split(mats, comm)
-        if split is not None:
-            w = v.transpose_space() if transposed else v  # built only when its split fires
-            verdict = _match_block_form(w, seed, transposed, split)
-            if verdict is not None:
-                return verdict
+    if ceiling is not None:
+        transposed, split = ceiling
+        w = v.transpose_space() if transposed else v
+        verdict = _match_block_form(w, transposed, split)
+        if verdict is not None:
+            return verdict
     return StructureVerdict("NO_MATCH", k_hat=k,
                             detail="equality dimension but no recovered similarity; "
                                    "reported as-is, never decided by fiat")
 
 
-def _match_block_form(w, seed, transposed, split):
+def _match_block_form(w, transposed, split):
     """The matched verdict of w (``MATCHES_VK``, ``MATCHES_VK_TRANSPOSE``
     when w is the transposed space, or ``EXCEPTIONAL``), or None when no
     similarity onto a canonical space is recovered, given the
@@ -176,7 +168,7 @@ def _match_block_form(w, seed, transposed, split):
                                     k_hat=k, l=l, chain_dims=(k, k + l),
                                     witness_basis=witness, transposed=transposed)
     if m in (2, 3):
-        hit = _match_exceptional(MatrixSubspace.span(quotient, m, m), seed)
+        hit = _match_exceptional(MatrixSubspace.span(quotient, m, m))
         if hit is not None:
             p2_inv, tag = hit
             witness = block_diag(Mat.identity(k), p2_inv) @ p1_inv
@@ -201,18 +193,26 @@ def _krylov(a, v):
     return mat_from_columns(cols)
 
 
-def _match_exceptional(qspace, seed):
+def _match_exceptional(qspace):
     """The candidate (P^{-1}, tag) for qspace, or None when it cannot be
     similar to a tagged exceptional commutative space.
 
-    The first nonderogatory member (basis first, then random combinations)
-    decides: if qspace is similar to a tagged space, that member generates
-    it, its eigenvalues are rational, and P = K_A K_G^{-1} carries the
-    Jordan matrix G with the same eigenvalues onto it, where K_A and K_G are
-    Krylov bases of cyclic vectors (all-ones is cyclic for every such G);
-    P^{-1} = K_G K_A^{-1}.  That qspace.conjugate(P^{-1}) is the tagged
-    space is not checked here: it is the trailing block of the caller's
-    exact test of the whole space.
+    The first nonderogatory member decides: if qspace is similar to a
+    tagged space, that member generates it, its eigenvalues are rational,
+    and P = K_A K_G^{-1} carries the Jordan matrix G with the same
+    eigenvalues onto it, where K_A and K_G are Krylov bases of cyclic
+    vectors (all-ones is cyclic for every such G); P^{-1} = K_G K_A^{-1}.
+    That qspace.conjugate(P^{-1}) is the tagged space is not checked here:
+    it is the trailing block of the caller's exact test of the whole space.
+
+    The members tried are the basis B_1 .. B_m, then sum c_i B_i for c in
+    the grid {0, ..., D}^m, D = m(m-1)/2, in ``itertools.product`` order.
+    A is derogatory exactly when I, A, ..., A^{m-1} are dependent, that is
+    when every m-minor of these m matrices vanishes; each minor is a
+    polynomial of degree at most D in c, and a nonzero one does not vanish
+    on the whole grid (Alon, "Combinatorial Nullstellensatz", 1999).  So the
+    grid holds a nonderogatory member whenever qspace has one, and None is
+    exact.
 
     The cyclic vector of A is sought among the unit vectors and the points
     (1, t, ..., t^{m-1}), t = 1 .. m(m-1), of the moment curve (t = 0 is the
@@ -227,7 +227,10 @@ def _match_exceptional(qspace, seed):
         return None
     probes = [Mat.column([int(i == j) for i in range(m)]) for j in range(m)]
     probes += [Mat.column([t ** i for i in range(m)]) for t in range(1, m * (m - 1) + 1)]
-    for a in probe_members(qspace.basis, random.Random(seed), 9, 24 - m):
+    basis = qspace.basis
+    grid = (sum((b * c for b, c in zip(basis, cs)), Mat.zero(m))
+            for cs in product(range(m * (m - 1) // 2 + 1), repeat=m))
+    for a in chain(basis, grid):
         k_a = next((k for k in (_krylov(a, v) for v in probes) if k.det()), None)
         if k_a is None:
             continue
@@ -249,9 +252,9 @@ def algebra_structure_report(v, trials, seed):
     """Combined verdict: closure under products, dimension at the sampled
     rank level, and the recovered block structure."""
     alg = v.is_algebra()
-    profile, sides = _scan(v, trials, seed, v.n - 1)
+    profile, ceiling = _scan(v, trials, seed, v.n - 1)
     report = _bound_report(v, profile)
-    structure = _recognize(v, report, seed, sides) if alg else None
+    structure = _recognize(v, report, ceiling) if alg else None
     ok = alg and structure.matched
     if not alg:
         note = "not an algebra; the block-structure classification covers algebras only"

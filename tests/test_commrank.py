@@ -296,15 +296,18 @@ def test_scan_matches_a_fraction_loop_draw_for_draw():
             assert profile.probable_max == best
             assert profile.witness == pair
     # the first pair's ceiling fires on the expected side, the column side
-    # tried first, and the scan hands that split on
+    # tried first, and the scan hands that side and its split on; one trial
+    # keeps the same pair and tries the same ceiling
     for v, transposed in ceilinged:
         for seed in range(3):
-            profile, sides = commrank._scan(v, 6, seed, v.n - 1)
+            profile, (side, split) = commrank._scan(v, 6, seed, v.n - 1)
             assert profile == max_commutator_rank(v, 6, seed)
-            assert list(sides) == [False, True][:transposed + 1]
-            assert sides[False] is None or not transposed
-            split = sides[transposed]
-            assert split is not None and split.dim == profile.probable_max
+            assert side == transposed and split.dim == profile.probable_max
+            one, (side1, split1) = commrank._scan(v, 1, seed, v.n - 1)
+            assert (one.probable_max, one.witness) == (profile.probable_max, profile.witness)
+            assert side1 == side
+            assert (split1.p, split1.p_inv, split1.quotients) == (split.p, split.p_inv,
+                                                                  split.quotients)
     # a rank-condition scan that stops at the first pair above k
     stopped = 0
     for v, basis in spaces:
@@ -381,5 +384,5 @@ def test_ceiling_refuses_a_commutator_below_the_maximum():
                 if commutator(*(Mat(n, n, m) for m in (a, b))).rank() < k:
                     below += 1
                     comm = commrank._commutator_rows(a, b, n)
-                    assert not any(commrank._ceiling_splits(basis, comm, n).values())
+                    assert commrank._ceiling(basis, comm, n) is None
         assert below
