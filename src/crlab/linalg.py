@@ -66,7 +66,6 @@ __all__ = [
     "Mat",
     "SingularMatrixError",
     "commutator",
-    "probe_members",
     "random_matrix",
     "mat_from_columns",
     "adapted_basis",
@@ -650,30 +649,6 @@ def block_diag(a, b):
     bottom = [[*[zero] * a.cols, *y[i * b.cols:(i + 1) * b.cols]] for i in range(b.rows)]
     n = a.rows + b.rows
     return Mat.from_scaled(n, n, scale, [e for r in top + bottom for e in r])
-
-
-def probe_members(mats, rng, bound, count):
-    """The members of span(mats) that a sampled check probes: each of
-    ``mats``, then ``count`` integer combinations with coefficients uniform
-    in [-bound, bound], an all-zero draw skipped.
-
-    Every coefficient is drawn from rng by this call, before the first
-    member is returned, so rng's state afterwards does not depend on how
-    many members the caller uses.  The members are brought to one scale and
-    stripped to their nonzero entries only when the first combination is
-    needed.
-    """
-    draws = [cs for cs in ([rng.randint(-bound, bound) for _ in mats] for _ in range(count))
-             if any(cs)]
-
-    def combos():
-        rows, cols = mats[0].rows, mats[0].cols
-        scale, entries = _common_scale(mats)
-        terms, zero = _sparse(entries), entries[0][0] * 0 if entries[0] else 0
-        for cs in draws:
-            yield Mat.from_scaled(rows, cols, scale, _combine(terms, cs, rows * cols, zero))
-
-    return chain(mats, combos() if draws else ())
 
 
 def random_matrix(rows, cols, entry_bound, seed):

@@ -10,48 +10,41 @@ basis-pair commutators all lie in {x0 y^T : y} has ALL its commutators there
 arguments), so a successful classification certifies the hypothesis for
 every pair.
 
-Triangularization then recurses on a proper invariant subspace: pick a
-non-scalar member A, an exact eigenvalue lambda, and the singular shift
-B0 = A - lambda*I; the kernel of B0 is tried first, and when some member maps
-it outside, the range of B0 is invariant instead.  One of the two always
-is, because the classification has certified a shared direction.  For x in
-ker B0 and any member M, B0(Mx) = [A, M]x.  LEFT: every [A, M] has its
-columns on the shared u, so B0(Mx) lies in span(u); a kernel that is not
-invariant has some B0(Mx) != 0, which puts u in range B0, and then
-M B0 z = B0 M z + [M, A] z stays in range B0 for every z.  RIGHT:
-[A, M] = u_M v^T, and a kernel that is not invariant has a vector x0 with
-v^T x0 != 0, so u_M = B0(M x0) / (v^T x0) is in range B0 for every M, and
-range B0 is invariant as in LEFT.  ZERO: every member commutes with B0, so
-the kernel is invariant.  The blocks of a family on an invariant W and on
-Q^n / W keep a shared direction, or else they commute, and adjoining a
-field changes none of this, so one recursion serves LEFT, RIGHT and
-commuting families alike and no step can fail.  Each step is the one
-quotient step of :mod:`crlab.linalg`: :func:`~crlab.linalg.invariant_split`
-at the kernel, then at the range, tests invariance and gives P with the
-blocks on W and on Q^n / W to recurse on.
+Triangularization recurses on a proper invariant subspace W.  A family with
+commutators of rank at most one is triangularizable (Laffey, 1978), and in
+a triangularizing basis, over an algebraic closure, a[A, B] is strictly
+upper triangular for every a in the unital algebra of the family.  So when
+a basis-pair commutator [A, B] is nonzero, the least invariant space W
+holding its first nonzero column c, the span of the a c, is nonzero and
+proper, and spans alone build it (Radjavi and Rosenthal, *Simultaneous
+Triangularization*, 2000).  When the basis commutes, every member maps
+W = ker(A - lambda I) into itself, for A the first non-scalar member and
+lambda an eigenvalue of A.  The blocks on W and on Q^n / W have
+commutators that are blocks of the family's, of rank at most one again,
+so no step can fail.  Each step is :func:`~crlab.linalg.invariant_split`
+at W, which gives P and the blocks to recurse on.
 
-Eigenvalues are the roots of linear factors of characteristic polynomials
-over the current field, Q at the start.  When no candidate member has one,
-the pipeline adjoins a root of an irreducible factor of least degree, over Q
-or over the number field it already works in; a tower is collapsed to one
-primitive element by Trager's norm method (:mod:`crlab.numberfield`), and
-the matrices built so far embed into the new field through the image of the
-old primitive element.  The degree of the field over Q is capped at
-``MAX_FIELD_DEGREE``, 24, the largest degree of the splitting field of a
-quartic.  Every family whose eigenvalues need no larger field is
-triangularized; past the cap the recursion raises ExtensionLimitError.
+Only a commuting block needs an eigenvalue: lambda is a root of an
+irreducible factor of least degree of A's characteristic polynomial over
+the current field, Q at the start, adjoined when that factor is not
+linear; a tower is collapsed to one primitive element by Trager's norm
+method (:mod:`crlab.numberfield`), and the matrices built so far embed into
+the new field through the image of the old primitive element.  The field
+is the one the eigenvalues of the basis members generate (P^{-1} A P has
+them all on its diagonal, and no other number is adjoined), whatever the
+order of adjunction.  Its degree over Q is capped at ``MAX_FIELD_DEGREE``,
+24, the largest degree of the splitting field of a quartic; past the cap
+the recursion raises ExtensionLimitError.
 A result carries P and its field; :func:`verify_triangular` is the one
 check that every P^{-1} A P is upper triangular.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 
-from .linalg import (Mat, VectorSpan, block_diag, column_space, commutator, invariant_split,
-                     probe_members)
+from .linalg import Mat, VectorSpan, block_diag, commutator, invariant_split
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
                           irreducible_factors)
 
@@ -64,8 +57,6 @@ __all__ = [
     "verify_triangular",
 ]
 
-_COMBO_ATTEMPTS = 8
-_COMBO_SEED = 0x51DE
 MAX_FIELD_DEGREE = 24
 
 
@@ -137,48 +128,61 @@ def _lift(m, field):
     return m if field is None else field.embed_matrix(m)
 
 
-def _find_singular_shift(mats, field, rng):
-    """(B0, field, lifted mats): B0 = A - lambda*I singular and nonzero.
+def _cyclic_space(mats, vec, n):
+    """The least subspace that holds vec and that every matrix maps into
+    itself, as independent columns: each vector that enlarges the span has
+    its images added in turn."""
+    span, todo = VectorSpan(n, [vec]), [vec]
+    while todo:
+        w = todo.pop()
+        for m in mats:
+            mw = m @ w
+            if span.add(mw):
+                todo.append(mw)
+    return span.members(n, 1)
 
-    The candidates are the non-scalar members of :func:`probe_members`.
-    Stays in the current field when some candidate has an eigenvalue there;
-    otherwise adjoins a root of an irreducible factor of least degree over
-    the field, unless that would take the degree over Q past
+
+def _split(mats, n, field):
+    """(split, field, lifted mats): the :func:`invariant_split` of the
+    family at the W of the module docstring, the cyclic space of a
+    commutator column or the eigenspace of a commuting member.
+
+    An eigenvalue outside the field adjoins a root of its irreducible factor
+    of least degree, unless that would take the degree over Q past
     MAX_FIELD_DEGREE.
     """
-    eye = _lift(Mat.identity(mats[0].rows), field)
-    smallest = None
-    for a in probe_members(mats, rng, 4, _COMBO_ATTEMPTS):
-        if a.is_scalar_matrix():
-            continue
-        g = irreducible_factors(a.charpoly(), field)[0][0]  # of least degree
-        if len(g) == 2:  # g = x - lambda
-            return a + eye * g[0], field, mats
-        if smallest is None or len(g) < len(smallest[1]):
-            smallest = (a, g)
-    a, g = smallest
-    degree = (len(g) - 1) * (1 if field is None else field.degree)
-    if degree > MAX_FIELD_DEGREE:
-        raise ExtensionLimitError(
-            f"an eigenvalue needs a field of degree {degree} over Q, "
-            f"past the cap of {MAX_FIELD_DEGREE}")
-    field, alpha = adjoin_root(g, field)
-    b0 = _lift(a, field) - _lift(eye, field) * alpha
-    return b0, field, [_lift(m, field) for m in mats]
+    movers = [m for m in mats if not m.is_scalar_matrix()]  # scalars commute with all
+    c = next((c for c in starmap(commutator, combinations(movers, 2)) if not c.is_zero()), None)
+    if c is not None:
+        j = next(j for j in range(n) if any(c.entries[j::n]))
+        w = _cyclic_space(mats, c.block(0, n, j, j + 1), n)
+        return invariant_split(mats, w, n), field, mats
+    a = movers[0]
+    g = irreducible_factors(a.charpoly(), field)[0][0]  # of least degree
+    if len(g) == 2:  # g = x - lambda
+        lam = -g[0]
+    else:
+        degree = (len(g) - 1) * (1 if field is None else field.degree)
+        if degree > MAX_FIELD_DEGREE:
+            raise ExtensionLimitError(
+                f"an eigenvalue needs a field of degree {degree} over Q, "
+                f"past the cap of {MAX_FIELD_DEGREE}")
+        field, lam = adjoin_root(g, field)
+        mats, a = [_lift(m, field) for m in mats], _lift(a, field)
+    b0 = a - _lift(Mat.identity(n), field) * lam
+    return invariant_split(mats, b0.kernel_basis(), n), field, mats
 
 
-def _triangularize_family(mats, n, field, rng):
+def _triangularize_family(mats, n, field):
     """Recursive flag construction; returns (P, field) with P^{-1} A P upper
     triangular for every A (over the possibly extended field)."""
     if n == 1 or all(m.is_upper_triangular() for m in mats):
         return _lift(Mat.identity(n), field), field
-    b0, field, mats = _find_singular_shift(mats, field, rng)
-    split = (invariant_split(mats, b0.kernel_basis(), n)
-             or invariant_split(mats, column_space(b0), n))  # never both None: module docstring
+    split, field, mats = _split(mats, n, field)
     m = split.dim
-    p_top, field = _triangularize_family(split.tops(), m, field, rng)
+    p_top, field = _triangularize_family(split.tops(), m, field)
     p_bot, field = _triangularize_family([_lift(q, field) for q in split.quotients],
-                                         n - m, field, rng)
+                                         n - m, field)
     return _lift(split.p, field) @ block_diag(_lift(p_top, field), p_bot), field
 
 
@@ -186,8 +190,7 @@ def triangularize_rank_one(v):
     """Simultaneous triangularization of a space with rank-<=1 commutators
     (a commuting space is the ZERO family, through the same recursion)."""
     classify_rank_one_family(v)  # raises InconsistentFamilyError on a bad family
-    p, field = _triangularize_family(list(v.basis), v.n, None,
-                                     random.Random(_COMBO_SEED))
+    p, field = _triangularize_family(list(v.basis), v.n, None)
     return TriangularizationResult(P=p, field=field)
 
 

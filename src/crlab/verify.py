@@ -29,7 +29,7 @@ from itertools import chain, product
 
 from .commrank import _bound_report, _scan
 from .constructions import exceptional_extremal_space, extremal_space, valid_splits
-from .linalg import Mat, VectorSpan, adapted_basis, block_diag, mat_from_columns, probe_members
+from .linalg import Mat, VectorSpan, adapted_basis, block_diag, mat_from_columns
 from .numberfield import irreducible_factors
 from .subspace import MatrixSubspace
 
@@ -87,7 +87,8 @@ class AlgebraReport:
 def flanders_check(v, trials, seed):
     """Estimate the maximal member rank k̂ of a (possibly rectangular) space
     and compare dim against the rank-bounded-space bound k̂ * max(rows, cols)."""
-    probes = probe_members(v.basis, random.Random(seed), _PROBE_BOUND, trials)
+    rng = random.Random(seed)
+    probes = chain(v.basis, (v.random_element(rng, _PROBE_BOUND) for _ in range(trials)))
     k_hat = max((m.rank() for m in probes), default=0)
     bound = k_hat * max(v.rows, v.cols)
     return FlandersReport(k_hat=k_hat, dim=v.dim, bound=bound,
@@ -212,7 +213,8 @@ def _match_exceptional(qspace):
     polynomial of degree at most D in c, and a nonzero one does not vanish
     on the whole grid (Alon, "Combinatorial Nullstellensatz", 1999).  So the
     grid holds a nonderogatory member whenever qspace has one, and None is
-    exact.
+    exact.  Points with fewer than two nonzero c_i are skipped: they give 0,
+    which is derogatory, or c B_i, nonderogatory exactly when B_i is.
 
     The cyclic vector of A is sought among the unit vectors and the points
     (1, t, ..., t^{m-1}), t = 1 .. m(m-1), of the moment curve (t = 0 is the
@@ -229,7 +231,7 @@ def _match_exceptional(qspace):
     probes += [Mat.column([t ** i for i in range(m)]) for t in range(1, m * (m - 1) + 1)]
     basis = qspace.basis
     grid = (sum((b * c for b, c in zip(basis, cs)), Mat.zero(m))
-            for cs in product(range(m * (m - 1) // 2 + 1), repeat=m))
+            for cs in product(range(m * (m - 1) // 2 + 1), repeat=m) if m - cs.count(0) > 1)
     for a in chain(basis, grid):
         k_a = next((k for k in (_krylov(a, v) for v in probes) if k.det()), None)
         if k_a is None:

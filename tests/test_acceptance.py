@@ -9,6 +9,7 @@ plain ``pytest``, which runs both).
 
 import random
 import time
+from itertools import chain
 
 import pytest
 import sympy
@@ -21,7 +22,7 @@ from crlab.invariant_spaces import (InvariantSpaceSpec,
                                     enumerate_invariant_spaces,
                                     is_triangular_invariant,
                                     search_max_dimension, triangular_closure)
-from crlab.linalg import Mat, commutator, probe_members, random_matrix
+from crlab.linalg import Mat, commutator, random_matrix
 from crlab.subspace import span
 from crlab.triangularize import triangularize_rank_one, verify_triangular
 from crlab.verify import algebra_structure_report, flanders_check, structure_check
@@ -202,7 +203,8 @@ def test_criterion_7_distinct_eigenvalue_elements():
             v = span([random_matrix(n, n, 9, rng.randint(0, 10 ** 9))
                       for _ in range(d)])
             assert v.dim == d
-            probes = probe_members(v.basis, random.Random(run), 1000, 10)
+            draws = random.Random(run)
+            probes = chain(v.basis, (v.random_element(draws, 1000) for _ in range(10)))
             m = next((m for m in probes if _distinct_eigenvalues(m)), None)
             assert m is not None, (n, run)
             assert v.contains(m)

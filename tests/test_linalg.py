@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 import sympy
@@ -13,8 +12,7 @@ from crlab.commrank import compression_split, max_commutator_rank
 from crlab.constructions import extremal_space, rank_one_max_space
 from crlab.invariant_spaces import InvariantSpaceSpec, search_max_dimension
 from crlab.linalg import (Mat, SingularMatrixError, VectorSpan, adapted_basis, block_diag,
-                          commutator, invariant_split, mat_from_columns, probe_members,
-                          random_matrix)
+                          commutator, invariant_split, mat_from_columns, random_matrix)
 from crlab.numberfield import NumberField, coefficients
 from crlab.subspace import span
 from crlab.triangularize import classify_rank_one_family
@@ -97,39 +95,6 @@ def test_is_scalar_matrix():
     qi = NumberField([1, 0, 1])
     assert qi.embed_matrix(Mat.identity(2)).is_scalar_matrix()
     assert not qi.embed_matrix(Mat.diagonal([1, 0])).is_scalar_matrix()
-
-
-def test_probe_members_yields_members_then_nonzero_combinations():
-    mats = [E(2, 0, 1), E(2, 1, 0) * 3]
-    rng = random.Random(3)
-    draws = [[rng.randint(-1, 1) for _ in mats] for _ in range(20)]
-    assert [0, 0] in draws  # the case that is skipped
-    got = list(probe_members(mats, random.Random(3), 1, 20))
-    assert got == mats + [mats[0] * a + mats[1] * b for a, b in draws if a or b]
-
-
-def test_probe_members_draws_every_coefficient_before_the_first_member():
-    mats = [E(3, 0, 1), E(3, 1, 2), Mat.identity(3)]
-    states = []
-    for used in (0, 1, 3, None):
-        rng = random.Random(5)
-        list(islice(probe_members(mats, rng, 4, 8), used))
-        states.append(rng.getstate())
-    rng = random.Random(5)
-    for _ in range(8 * len(mats)):
-        rng.randint(-4, 4)
-    assert states == [rng.getstate()] * 4
-
-
-def test_probe_members_over_q_are_random_element_draws():
-    rng = random.Random(13)
-    v = span([Mat(2, 3, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)])
-              for _ in range(3)])
-    rng = random.Random(19)
-    draws = [v.random_element(rng, 1) for _ in range(60)]
-    assert any(m.is_zero() for m in draws)
-    probes = list(probe_members(v.basis, random.Random(19), 1, 60))
-    assert probes == list(v.basis) + [m for m in draws if not m.is_zero()]
 
 
 def _rational_square(n, rng):

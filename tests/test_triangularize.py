@@ -7,9 +7,11 @@ import pytest
 from sympy import QQ, Dummy, Poly
 from sympy.polys.matrices import DomainMatrix
 
+from crlab import triangularize
 from crlab.cli import main
-from crlab.constructions import rank_one_max_space
-from crlab.linalg import Mat, block_diag, commutator, random_matrix
+from crlab.constructions import rank_one_max_space, valid_splits
+from crlab.linalg import Mat, VectorSpan, block_diag, commutator, random_matrix
+from crlab.numberfield import NumberField
 from crlab.serialize import to_jsonable, write_subspace
 from crlab.subspace import span
 from crlab.triangularize import (MAX_FIELD_DEGREE, InconsistentFamilyError,
@@ -219,6 +221,73 @@ def test_witness_rank_preserved_by_result_basis_change():
     a, b = profile.witness
     p, p_inv = res.P, res.P.inverse()
     assert commutator(p_inv @ a @ p, p_inv @ b @ p).rank() == profile.probable_max
+
+
+def test_only_the_commuting_block_factors_a_charpoly(monkeypatch):
+    # a non-commuting block splits at a commutator's cyclic space: only the
+    # one commuting block of each family factors a characteristic polynomial
+    factor, calls = triangularize.irreducible_factors, []
+
+    def recorded(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(triangularize, "irreducible_factors", recorded)
+    v = rank_one_max_space(5, "generic", 2).conjugate(_invertible(5, 19))
+    for w in (v, v.transpose_space()):
+        calls.clear()
+        res = triangularize_rank_one(w)
+        assert res.field is None and verify_triangular(w, res.P)
+        assert len(calls) == 1
+
+
+def _rank_one_families(rng, field):
+    """Seeded rank-one families: subspaces of a conjugated generic
+    rank-one-maximal space, of its transpose or of a transposed band family
+    (whose commutator columns need several steps to close), over ``field``
+    (None is Q) through a conjugation with entries in the field."""
+    for i in range(15):
+        n = rng.randint(3, 6)
+        if i % 3 == 2:  # the band's companion block has rational eigenvalues
+            p = (1,)
+            for r in (rng.randint(-3, 3) for _ in range(n - 1)):
+                p = tuple(a - r * b for a, b in zip((0, *p), (*p, 0)))  # p * (x - r)
+            base = _band_family(p, rng.randint(0, 10 ** 9)).transpose_space()
+        else:
+            q = _invertible(n, rng.randint(0, 10 ** 9))
+            base = rank_one_max_space(n, "generic", rng.choice(valid_splits(n, 1))).conjugate(q)
+            if i % 3:
+                base = base.transpose_space()
+        mats = [base.random_element(rng, 5) for _ in range(rng.randint(2, min(base.dim, 6)))]
+        if field is not None:
+            q = field.embed_matrix(Mat.identity(n)) + field.embed_matrix(
+                random_matrix(n, n, 2, rng.randint(0, 10 ** 9))) * field.theta()
+            q_inv = q.inverse()
+            mats = [q @ field.embed_matrix(m) @ q_inv for m in mats]
+        yield mats, n
+
+
+@pytest.mark.parametrize("field", [None, NumberField([-2, 0, 1])], ids=["Q", "Q(sqrt2)"])
+def test_commutator_cyclic_space_is_proper_and_invariant(monkeypatch, field):
+    cyclic, seen = triangularize._cyclic_space, []
+
+    def recorded(mats, vec, n):
+        w = cyclic(mats, vec, n)
+        seen.append((mats, vec, n, w))
+        return w
+
+    monkeypatch.setattr(triangularize, "_cyclic_space", recorded)
+    for mats, n in _rank_one_families(random.Random(31), field):
+        p, _ = triangularize._triangularize_family(mats, n, field)
+        p_inv = p.inverse()
+        assert all((p_inv @ a @ p).is_upper_triangular() for a in mats)
+    assert len(seen) >= 12
+    for block, vec, m, w in seen:
+        assert any(not commutator(a, b).is_zero() for a in block for b in block)
+        assert 0 < len(w) < m
+        span_w = VectorSpan(m, w)
+        assert span_w.contains(vec)
+        assert all(span_w.contains(a @ x) for a in block for x in w)
 
 
 def test_rank_one_propagates_inconsistency():

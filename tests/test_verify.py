@@ -248,6 +248,23 @@ def test_exceptional_matcher_finds_a_nonderogatory_grid_member():
     assert tag == "diag" and q.conjugate(p_inv) == q
 
 
+def test_exceptional_matcher_skips_grid_points_with_one_nonzero_coefficient(monkeypatch):
+    # every member of span(I, E_01, E_02) is derogatory, so the matcher tries
+    # all of its members: the 3 basis members and the 4^3 grid points less the
+    # zero point and the 9 multiples of one basis member
+    krylov, first_probe, tried = verify._krylov, Mat.column([1, 0, 0]), []
+
+    def recorded(a, v):
+        if v == first_probe:  # each member's first cyclic-vector probe
+            tried.append(a)
+        return krylov(a, v)
+
+    monkeypatch.setattr(verify, "_krylov", recorded)
+    q = span([Mat.identity(3), E(3, 0, 1), E(3, 0, 2)])
+    assert verify._match_exceptional(q) is None
+    assert len(tried) == 3 + 4 ** 3 - 1 - 9
+
+
 
 def _record_splits(monkeypatch, split):
     """Put ``split`` in place of commrank's compression_split, the one the
