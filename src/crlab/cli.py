@@ -80,11 +80,7 @@ def _cmd_analyze(args):
     if args.k is not None and not 0 <= args.k < v.n:
         raise ValueError("need 0 <= k < n")
     bound_report = check_dimension_bound(v, args.trials, args.seed)
-    results = {
-        "ambient": v.n,
-        "dim": v.dim,
-        "bound_report": to_jsonable(bound_report),
-    }
+    results = {"bound_report": to_jsonable(bound_report)}
     ok = bound_report.status == "PASS"
     if args.k is not None:
         # the profile's scan drew the pairs a separate satisfies_rank_condition

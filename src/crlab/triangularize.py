@@ -1,40 +1,38 @@
 """Constructive simultaneous triangularization for spaces whose commutators
 all have rank at most one.
 
-The classification step gathers one nonzero column and one nonzero row of
-each nonzero basis-pair commutator into two spans: the commutators share a
-column direction (LEFT) while the column span is a line, and a row
-direction (RIGHT) while the row span is; a space whose
+The classification step gathers one nonzero column of each nonzero
+basis-pair commutator into a span, and one nonzero row into another: the
+commutators share a column direction x0 (LEFT) while the column span is a
+line, and a row direction (RIGHT) while the row span is.  A space whose
 basis-pair commutators all lie in {x0 y^T : y} has ALL its commutators there
 (the set is a linear space and commutators depend bilinearly on the
 arguments), so a successful classification certifies the hypothesis for
-every pair.
+every pair, and the column span holds every commutator's columns.
 
-Triangularization recurses on a proper invariant subspace W.  A family with
-commutators of rank at most one is triangularizable (Laffey, 1978), and in
-a triangularizing basis, over an algebraic closure, a[A, B] is strictly
-upper triangular for every a in the unital algebra of the family.  So when
-a basis-pair commutator [A, B] is nonzero, the least invariant space W
-holding its first nonzero column c, the span of the a c, is nonzero and
-proper, and spans alone build it (Radjavi and Rosenthal, *Simultaneous
-Triangularization*, 2000).  When the basis commutes, every member maps
-W = ker(A - lambda I) into itself, for A the first non-scalar member and
-lambda an eigenvalue of A.  The blocks on W and on Q^n / W have
-commutators that are blocks of the family's, of rank at most one again,
-so no step can fail.  Each step is :func:`~crlab.linalg.invariant_split`
-at W, which gives P and the blocks to recurse on.
+Such a family is triangularizable (Laffey, 1978), so the ideal I of its
+unital algebra A generated by the commutators is nilpotent (McCoy, 1936).
+W = I V, the least invariant space holding the column span, built by spans
+alone, is therefore proper, and nonzero unless the family commutes.  The
+quotient V / W commutes, since W holds every commutator's columns.  The
+block on W commutes too: each commutator is x y^T with x shared or y shared,
+so for each commutator column x' in W, x' y^T is itself a commutator, and
+y^T a x' = tr(a x' y^T) = 0 for a in A, as a x' y^T lies in I.  So one split
+at W leaves commuting blocks only, and their blocks commute again.
 
-Only a commuting block needs an eigenvalue: lambda is a root of an
-irreducible factor of least degree of A's characteristic polynomial over
-the current field, Q at the start, adjoined when that factor is not
-linear; a tower is collapsed to one primitive element by Trager's norm
-method (:mod:`crlab.numberfield`), and the matrices built so far embed into
-the new field through the image of the old primitive element.  The field
-is the one the eigenvalues of the basis members generate (P^{-1} A P has
-them all on its diagonal, and no other number is adjoined), whatever the
-order of adjunction.  Its degree over Q is capped at ``MAX_FIELD_DEGREE``,
-24, the largest degree of the splitting field of a quartic; past the cap
-the recursion raises ExtensionLimitError.
+A commuting block splits at W = ker(A - lambda I), for A its first
+non-scalar member and lambda a root of an irreducible factor of least degree
+of A's characteristic polynomial over the current field, Q at the start,
+adjoined when that factor is not linear; a tower is collapsed to one
+primitive element by Trager's norm method (:mod:`crlab.numberfield`), and
+the matrices built so far embed into the new field through the image of the
+old primitive element.  The field is the one the eigenvalues of the basis
+members generate (P^{-1} A P has them all on its diagonal, and no other
+number is adjoined), whatever the order of adjunction.  Its degree over Q is
+capped at ``MAX_FIELD_DEGREE``, 24, the largest degree of the splitting field
+of a quartic; past the cap the recursion raises ExtensionLimitError.  Each
+step is :func:`~crlab.linalg.invariant_split` at W, which gives P and the
+blocks to recurse on, so no step can fail.
 A result carries P and its field; :func:`verify_triangular` is the one
 check that every P^{-1} A P is upper triangular.
 """
@@ -42,7 +40,7 @@ check that every P^{-1} A P is upper triangular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, starmap
+from itertools import combinations
 
 from .linalg import Mat, VectorSpan, block_diag, commutator, invariant_split
 from .numberfield import (ExtensionLimitError, NumberField, adjoin_root,
@@ -76,6 +74,7 @@ class InconsistentFamilyError(ValueError):
 class RankOneFamily:
     side: str  # "LEFT" | "RIGHT" | "ZERO"
     x0: Mat | None  # shared direction (column vector, leading 1), None for ZERO
+    columns: tuple = ()  # basis of the span of the commutators' columns
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,10 @@ def classify_rank_one_family(v):
         return RankOneFamily("ZERO", None)
     n = v.n
     cols, rows = VectorSpan(n), VectorSpan(n)
-    for pair, c in nonzero:  # a span past dimension 1 stays past it: stop growing it
+    for pair, c in nonzero:  # a row span past dimension 1 stays past it: stop growing it
         e = c.entries
-        if cols.dim < 2:
-            j = next(j for j in range(n) if any(e[j::n]))
-            cols.add(c.block(0, n, j, j + 1))
+        j = next(j for j in range(n) if any(e[j::n]))
+        cols.add(c.block(0, n, j, j + 1))
         if rows.dim < 2:
             i = next(i for i in range(n) if any(e[i * n:(i + 1) * n]))
             rows.add(c.block(i, i + 1, 0, n))
@@ -115,9 +113,9 @@ def classify_rank_one_family(v):
             raise InconsistentFamilyError(
                 "nonzero commutators share no common direction",
                 pair, c, reference_pair=nonzero[0][0])
-    if cols.dim == 1:  # tie-break LEFT when a single commutator factors both ways
-        return RankOneFamily("LEFT", cols.members(n, 1)[0])
-    return RankOneFamily("RIGHT", rows.members(n, 1)[0])
+    # tie-break LEFT when a single commutator factors both ways
+    side, shared = ("LEFT", cols) if cols.dim == 1 else ("RIGHT", rows)
+    return RankOneFamily(side, shared.members(n, 1)[0], tuple(cols.members(n, 1)))
 
 
 # -- recursion machinery --------------------------------------------------------
@@ -128,11 +126,11 @@ def _lift(m, field):
     return m if field is None else field.embed_matrix(m)
 
 
-def _cyclic_space(mats, vec, n):
-    """The least subspace that holds vec and that every matrix maps into
-    itself, as independent columns: each vector that enlarges the span has
-    its images added in turn."""
-    span, todo = VectorSpan(n, [vec]), [vec]
+def _cyclic_space(mats, vecs, n):
+    """The least subspace that holds the independent vectors and that every
+    matrix maps into itself, as independent columns: each vector that
+    enlarges the span has its images added in turn."""
+    span, todo = VectorSpan(n, vecs), list(vecs)
     while todo:
         w = todo.pop()
         for m in mats:
@@ -142,22 +140,15 @@ def _cyclic_space(mats, vec, n):
     return span.members(n, 1)
 
 
-def _split(mats, n, field):
-    """(split, field, lifted mats): the :func:`invariant_split` of the
-    family at the W of the module docstring, the cyclic space of a
-    commutator column or the eigenspace of a commuting member.
+def _eigenspace_split(mats, n, field):
+    """(split, field, lifted mats): the :func:`invariant_split` of a
+    commuting family at ker(A - lambda I), A its first non-scalar member.
 
     An eigenvalue outside the field adjoins a root of its irreducible factor
     of least degree, unless that would take the degree over Q past
     MAX_FIELD_DEGREE.
     """
-    movers = [m for m in mats if not m.is_scalar_matrix()]  # scalars commute with all
-    c = next((c for c in starmap(commutator, combinations(movers, 2)) if not c.is_zero()), None)
-    if c is not None:
-        j = next(j for j in range(n) if any(c.entries[j::n]))
-        w = _cyclic_space(mats, c.block(0, n, j, j + 1), n)
-        return invariant_split(mats, w, n), field, mats
-    a = movers[0]
+    a = next(m for m in mats if not m.is_scalar_matrix())
     g = irreducible_factors(a.charpoly(), field)[0][0]  # of least degree
     if len(g) == 2:  # g = x - lambda
         lam = -g[0]
@@ -173,12 +164,17 @@ def _split(mats, n, field):
     return invariant_split(mats, b0.kernel_basis(), n), field, mats
 
 
-def _triangularize_family(mats, n, field):
+def _triangularize_family(mats, n, field, w=()):
     """Recursive flag construction; returns (P, field) with P^{-1} A P upper
-    triangular for every A (over the possibly extended field)."""
+    triangular for every A (over the possibly extended field).  The first
+    step splits at the invariant columns ``w`` when given, and every other
+    one at an eigenspace, so every block below the first commutes."""
     if n == 1 or all(m.is_upper_triangular() for m in mats):
         return _lift(Mat.identity(n), field), field
-    split, field, mats = _split(mats, n, field)
+    if w:
+        split = invariant_split(mats, w, n)
+    else:
+        split, field, mats = _eigenspace_split(mats, n, field)
     m = split.dim
     p_top, field = _triangularize_family(split.tops(), m, field)
     p_bot, field = _triangularize_family([_lift(q, field) for q in split.quotients],
@@ -189,8 +185,9 @@ def _triangularize_family(mats, n, field):
 def triangularize_rank_one(v):
     """Simultaneous triangularization of a space with rank-<=1 commutators
     (a commuting space is the ZERO family, through the same recursion)."""
-    classify_rank_one_family(v)  # raises InconsistentFamilyError on a bad family
-    p, field = _triangularize_family(list(v.basis), v.n, None)
+    columns = classify_rank_one_family(v).columns  # raises InconsistentFamilyError
+    p, field = _triangularize_family(list(v.basis), v.n, None,
+                                     _cyclic_space(v.basis, columns, v.n))
     return TriangularizationResult(P=p, field=field)
 
 

@@ -215,7 +215,7 @@ def test_construct_then_analyze(tmp_path, capsys):
                    "-o", str(report_path))
     assert code == 0
     report = json.loads(report_path.read_text())
-    assert report["results"]["dim"] == 13
+    assert report["results"]["bound_report"]["dim"] == 13
     assert report["results"]["bound_report"]["bound"] == 13
     assert report["results"]["bound_report"]["status"] == "PASS"
 
@@ -234,7 +234,7 @@ def test_analyze_every_family(tmp_path, capsys):
         capsys.readouterr()
         code = run_cli("analyze", str(out), "--trials", "16", "--seed", "5")
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["results"]["dim"] >= 0
+        assert json.loads(captured.out)["results"]["bound_report"]["dim"] >= 0
         assert code in (0, 1)  # flanders full band can exceed a sampled level
 
 
@@ -449,7 +449,7 @@ def test_report_envelope_of_each_verb(tmp_path, capsys):
     structure = {"status", "k_hat", "l", "tag", "chain_dims", "witness_basis", "transposed",
                  "detail"}
     cases = [(["analyze", str(v), "--k", "1", *sampled], {"file": str(v), "k": 1},
-              {"ambient", "dim", "bound_report", "rank_condition"}),
+              {"bound_report", "rank_condition"}),
              (["triangularize", str(v)], {"file": str(v)},
               {"P", "field", "verified_upper_triangular"}),
              (["triangularize", str(bad)], {"file": str(bad)}, {"error"}),

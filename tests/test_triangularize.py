@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, starmap
 
 import pytest
 from sympy import QQ, Dummy, Poly
@@ -223,22 +224,43 @@ def test_witness_rank_preserved_by_result_basis_change():
     assert commutator(p_inv @ a @ p, p_inv @ b @ p).rank() == profile.probable_max
 
 
-def test_only_the_commuting_block_factors_a_charpoly(monkeypatch):
-    # a non-commuting block splits at a commutator's cyclic space: only the
-    # one commuting block of each family factors a characteristic polynomial
-    factor, calls = triangularize.irreducible_factors, []
+def _count_calls(monkeypatch, name):
+    """Record every call through ``triangularize.<name>``."""
+    function, calls = getattr(triangularize, name), []
 
     def recorded(*args):
         calls.append(args)
-        return factor(*args)
+        return function(*args)
 
-    monkeypatch.setattr(triangularize, "irreducible_factors", recorded)
+    monkeypatch.setattr(triangularize, name, recorded)
+    return calls
+
+
+def test_commutators_are_formed_once_per_basis_pair(monkeypatch):
+    # the classification forms every basis-pair commutator, and the recursion none
+    calls = _count_calls(monkeypatch, "commutator")
     v = rank_one_max_space(5, "generic", 2).conjugate(_invertible(5, 19))
-    for w in (v, v.transpose_space()):
+    q = _invertible(4, 7)
+    m = q @ block_diag(companion((-2, 0, 1)), Mat.diagonal([1, -3])) @ q.inverse()
+    commuting = span([Mat.identity(4), m, m @ m, m @ m @ m])  # m's eigenvalues: ±√2, 1, -3
+    assert commuting.dim == 4
+    for w in (v, v.transpose_space(), commuting):
+        calls.clear()
+        res = triangularize_rank_one(w)
+        assert verify_triangular(w, res.P)
+        assert len(calls) == w.dim * (w.dim - 1) // 2
+
+
+def test_commuting_blocks_alone_factor_a_charpoly(monkeypatch):
+    # the commutator split is rational, and below it each commuting block that
+    # is not yet triangular factors one characteristic polynomial
+    calls = _count_calls(monkeypatch, "irreducible_factors")
+    v = rank_one_max_space(5, "generic", 2).conjugate(_invertible(5, 19))
+    for w, factored in ((v, 1), (v.transpose_space(), 2)):
         calls.clear()
         res = triangularize_rank_one(w)
         assert res.field is None and verify_triangular(w, res.P)
-        assert len(calls) == 1
+        assert len(calls) == factored
 
 
 def _rank_one_families(rng, field):
@@ -267,27 +289,29 @@ def _rank_one_families(rng, field):
         yield mats, n
 
 
+def _commute(mats):
+    return all(c.is_zero() for c in starmap(commutator, combinations(mats, 2)))
+
+
 @pytest.mark.parametrize("field", [None, NumberField([-2, 0, 1])], ids=["Q", "Q(sqrt2)"])
-def test_commutator_cyclic_space_is_proper_and_invariant(monkeypatch, field):
-    cyclic, seen = triangularize._cyclic_space, []
-
-    def recorded(mats, vec, n):
-        w = cyclic(mats, vec, n)
-        seen.append((mats, vec, n, w))
-        return w
-
-    monkeypatch.setattr(triangularize, "_cyclic_space", recorded)
-    for mats, n in _rank_one_families(random.Random(31), field):
-        p, _ = triangularize._triangularize_family(mats, n, field)
-        p_inv = p.inverse()
-        assert all((p_inv @ a @ p).is_upper_triangular() for a in mats)
-    assert len(seen) >= 12
-    for block, vec, m, w in seen:
-        assert any(not commutator(a, b).is_zero() for a in block for b in block)
-        assert 0 < len(w) < m
-        span_w = VectorSpan(m, w)
-        assert span_w.contains(vec)
-        assert all(span_w.contains(a @ x) for a in block for x in w)
+def test_commutator_split_leaves_commuting_blocks(monkeypatch, field):
+    eigenspace_calls = _count_calls(monkeypatch, "_eigenspace_split")
+    for seed in range(6 if field is None else 1):  # dense products over Q(sqrt 2) are slow
+        for mats, n in _rank_one_families(random.Random(31 + seed), field):
+            columns = classify_rank_one_family(span(mats)).columns
+            w = triangularize._cyclic_space(mats, columns, n)
+            assert 0 < len(w) < n  # no family commutes
+            span_w = VectorSpan(n, w)
+            assert all(span_w.contains(a @ x) for a in mats for x in w)
+            comms = list(starmap(commutator, combinations(mats, 2)))
+            assert all(span_w.contains(c.block(0, n, j, j + 1)) for c in comms for j in range(n))
+            split = triangularize.invariant_split(mats, w, n)
+            assert _commute(split.tops()) and _commute(split.quotients)
+            eigenspace_calls.clear()
+            p, _ = triangularize._triangularize_family(mats, n, field, w)
+            p_inv = p.inverse()
+            assert all((p_inv @ a @ p).is_upper_triangular() for a in mats)
+            assert all(_commute(block) for block, *_ in eigenspace_calls)
 
 
 def test_rank_one_propagates_inconsistency():
