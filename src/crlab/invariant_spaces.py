@@ -21,6 +21,16 @@ Closure rules (least fixpoint):
                                   blocks, for a difference e_i - e_j every
                                   upper pair touching i or j
 
+Diagonal blocks.  A partition spec with closed units S is closed exactly
+when no missing upper pair (p, q) crosses two blocks (R4) and each index
+touched by a lower unit is a block of its own (R2's difference).  The first
+condition says that the blocks are unions of runs, the maximal runs of
+consecutive indices with no superdiagonal unit (i, i+1) of S between them:
+no such unit with p <= i < q is in S, as R1 would carry it to (p, q), and a
+missing (i, i+1) is itself a missing upper pair.  An index touched by a
+lower unit is a run of its own: every upper pair touching it is in S (R2,
+then R4).
+
 The search.  For a closed unit set S let C(S) be S plus the diagonal part
 span(I, e_i - e_j for each lower (i, j) in S): the spec with units S, one
 diagonal block and the forced differences.  Every closed spec with units S
@@ -91,6 +101,8 @@ class InvariantSpaceSpec:
     forced_diffs: frozenset = frozenset()  # (i, j), i > j: generator e_i - e_j
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
         # as sets whatever was passed: hashable, and a repeat counts once in dim
         object.__setattr__(self, "units", frozenset(self.units))
         object.__setattr__(self, "forced_diffs", frozenset(self.forced_diffs))
@@ -108,22 +120,10 @@ class InvariantSpaceSpec:
     @cached_property
     def _diag_span(self):
         """Span of the block indicators and the forced differences e_i - e_j."""
-        gens = []
-        for block in self.diag_blocks:
-            g = [0] * self.n
-            for x in block:
-                g[x] = 1
-            gens.append(g)
-        # e_x - e_m for x in each component of the forced pairs, m its largest
-        # index: the span of the forced differences, in few and nearly
-        # reduced rows, which the block indicators then follow
-        diffs = []
-        for comp in _components(self.n, self.forced_diffs):
-            for x in comp[:-1]:
-                g = [0] * self.n
-                g[x], g[comp[-1]] = 1, -1
-                diffs.append(g)
-        return VectorSpan(self.n, diffs + gens)
+        n = self.n
+        gens = [[int(x in block) for x in range(n)] for block in self.diag_blocks]
+        gens += [[(x == i) - (x == j) for x in range(n)] for (i, j) in self.forced_diffs]
+        return VectorSpan(n, gens)
 
     @property
     def diag_dim(self):
@@ -284,10 +284,8 @@ def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD, keep=None):
     rejects is neither extended nor yielded; when ``keep`` holds on every
     closed subset of a kept set, every kept set is reached.  Sets are
     yielded in ascending bitmask order.  For each set S the diagonal part
-    ranges over all partitions that merge only blocks allowed by R4: indices
-    touched by a lower position stay singletons (their differences are
-    forced), and any two indices joined by a missing upper pair stay in one
-    block.
+    ranges over every partition into unions of runs that keeps each index of
+    a lower position a block of its own (module docstring).
     """
     if n > max_n:
         raise ValueError(
@@ -317,34 +315,17 @@ def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD, keep=None):
         yield from _specs_for_units(n, _units_of(mask, pos))
 
 
-def _components(n, edges):
-    """Connected components of the graph on range(n) with the given edges,
-    each sorted, in order of their least index."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (p, q) in edges:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-    comps = {}
-    for x in range(n):
-        comps.setdefault(find(x), []).append(x)
-    return sorted(comps.values())
-
-
 def _specs_for_units(n, units):
-    # components of the graph whose edges are the missing upper pairs
-    comps = _components(n, ((p, q) for p in range(n) for q in range(p + 1, n)
-                            if (p, q) not in units))
+    # the blocks are unions of the runs between superdiagonal units, and a
+    # forced index is a run of its own (module docstring)
+    runs = []
+    for i in range(n):
+        if i == 0 or (i - 1, i) in units:
+            runs.append([])
+        runs[-1].append(i)
     forced = {x for (i, j) in units if i > j for x in (i, j)}
-    fixed = [c for c in comps if len(c) == 1 and c[0] in forced]
-    merge_pool = [c for c in comps if not (len(c) == 1 and c[0] in forced)]
+    fixed = [r for r in runs if r[0] in forced]
+    merge_pool = [r for r in runs if r[0] not in forced]
     for grouping in _set_partitions(merge_pool):
         blocks = fixed + [sum(g, []) for g in grouping]
         yield InvariantSpaceSpec(n, units, blocks)

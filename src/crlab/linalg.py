@@ -143,6 +143,8 @@ class Mat:
         return mat
 
     def _fill(self, rows, cols, scale, entries):
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix sizes must be >= 0")
         for name, value in zip(Mat.__slots__, (rows, cols, scale, tuple(entries))):
             object.__setattr__(self, name, value)
 
@@ -510,6 +512,8 @@ class VectorSpan:
     __slots__ = ("length", "pivots", "scale", "entries", "_terms")
 
     def __init__(self, length, vectors=()):
+        if length < 0:
+            raise ValueError("span length must be >= 0")
         self.length = length
         self._reduce([self._vector(v) for v in vectors])
 
@@ -616,13 +620,9 @@ def invariant_split(mats, basis, n):
     pi' A, pi' the last n − k rows of P^{-1}, is one :func:`_product` per A,
     which combines A's nonzero rows: W is invariant iff (pi' A) W = 0, and the
     quotient block is pi' A at the columns of P's unit vectors, with no
-    second product.  At W = 0, P = I and the quotients are the matrices
-    themselves: no reduction, no product.
+    second product.
     """
     k = len(basis)
-    if not k:
-        eye = Mat.identity(n)
-        return InvariantSplit(eye, eye, 0, list(mats), mats)
     p, p_inv = adapted_basis(basis, n)
     w = [p.entries[j::n] for j in range(k)]
     units = [next(i for i, x in enumerate(p.entries[j::n]) if x) for j in range(k, n)]
@@ -630,7 +630,7 @@ def invariant_split(mats, basis, n):
     quotients = []
     for a in mats:
         pa = _product(pi, a.entries, n - k, n, n)
-        pa = [pa[i:i + n] for i in range(0, len(pa), n)]
+        pa = [pa[i * n:(i + 1) * n] for i in range(n - k)]
         if any(sum(map(mul, row, col)) for row in pa for col in w):
             return None
         quotients.append(Mat.from_scaled(n - k, n - k, p_inv.scale * a.scale,

@@ -36,6 +36,8 @@ class MatrixSubspace:
             cols = mats[0].cols if cols is None else cols
         if rows is None or cols is None:
             raise ValueError("empty span needs explicit dimensions")
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix sizes must be >= 0")
         for m in mats:
             if m.rows != rows or m.cols != cols:
                 raise ValueError("generators have mismatched shapes")

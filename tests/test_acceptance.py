@@ -99,9 +99,26 @@ def test_criterion_4_no_invertible_commutators_in_corner_spaces():
     _ok("4 corner spaces: 100 sampled commutators per space have det 0", t0)
 
 
+# SearchReport.counts at trials 32 and seed 2024, one tuple per k in the order
+# of _COUNT_KEYS: a change to the search that moves them must do so on purpose
+_COUNT_KEYS = ("unit_sets", "unit_sets_refuted", "specs", "certified_no",
+               "certified_yes", "probable_yes", "skipped_below_max")
+_PINNED_COUNTS = {
+    6: [(135, 103, 37, 3, 1, 0, 33), (181, 100, 142, 12, 4, 0, 126),
+        (225, 92, 383, 9, 2, 0, 372), (270, 89, 848, 8, 4, 0, 836),
+        (314, 86, 1225, 4, 2, 0, 1219), (333, 57, 1281, 0, 2, 0, 1279)],
+    7: [(328, 264, 70, 2, 2, 0, 66), (511, 318, 299, 10, 2, 0, 287),
+        (668, 313, 865, 10, 4, 0, 851), (807, 289, 2167, 8, 2, 0, 2157),
+        (962, 290, 4640, 8, 4, 0, 4628), (1104, 282, 6330, 4, 2, 0, 6324),
+        (1165, 186, 6517, 0, 2, 0, 6515)],
+}
+
+
 def _check_search(n, k, trials, seed):
     report = search_max_dimension(n, k, trials=trials, seed=seed)
     assert report.max_dim == dimension_bound(n, k), (n, k, report.max_dim)
+    if n in _PINNED_COUNTS and (trials, seed) == (32, 2024):
+        assert report.counts == dict(zip(_COUNT_KEYS, _PINNED_COUNTS[n][k])), (n, k)
     # every argmax spec is confirmed by a line cover, none only by sampling
     assert report.counts["certified_yes"] == len(report.argmax), (n, k, report.counts)
     allowed = {"MATCHES_VK", "MATCHES_VK_TRANSPOSE"}

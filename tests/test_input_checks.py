@@ -9,8 +9,9 @@ import pytest
 from crlab.commrank import (certify_rank_condition_symbolic, max_commutator_rank,
                             satisfies_rank_condition)
 from crlab.constructions import extremal_space, firstcol_zero_space, lastrow_zero_space
-from crlab.invariant_spaces import InvariantSpaceSpec, search_max_dimension
-from crlab.linalg import Mat, random_matrix
+from crlab.invariant_spaces import (InvariantSpaceSpec, enumerate_invariant_spaces,
+                                    search_max_dimension)
+from crlab.linalg import Mat, VectorSpan, random_matrix
 from crlab.numberfield import NumberField, irreducible_factors
 from crlab.serialize import SchemaError, subspace_from_dict, to_jsonable
 from crlab.subspace import MatrixSubspace, span, zero_space
@@ -60,6 +61,13 @@ def _set_attribute(obj):
     (lambda: zero_space(2).contains(_WIDE), ValueError, "ambient mismatch"),
     (lambda: zero_space(2).sum(zero_space(3)), ValueError, "ambient mismatch"),
     (lambda: span([_WIDE]).is_algebra(), ValueError, "square spaces only"),
+    (lambda: zero_space(-3), ValueError, "matrix sizes must be >= 0"),
+    (lambda: Mat.identity(-1), ValueError, "matrix sizes must be >= 0"),
+    (lambda: Mat.zero(-2, 0), ValueError, "matrix sizes must be >= 0"),
+    (lambda: random_matrix(-1, 2, 3, 0), ValueError, "matrix sizes must be >= 0"),
+    (lambda: VectorSpan(-4), ValueError, "span length must be >= 0"),
+    (lambda: InvariantSpaceSpec(-3, (), ()), ValueError, "n must be >= 0"),
+    (lambda: list(enumerate_invariant_spaces(-2)), ValueError, "n must be >= 0"),
 ])
 def test_input_check(call, error, message):
     with pytest.raises(error) as info:

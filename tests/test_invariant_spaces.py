@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.utilities.iterables import multiset_partitions
 
 import crlab.invariant_spaces as invariant_spaces
 from crlab.commrank import (dimension_bound, max_commutator_rank,
@@ -244,12 +245,33 @@ def test_enumerate_matches_mask_scan_in_order():
 
 
 def test_enumerate_counts():
-    closed = {2: 3, 3: 9, 4: 29, 5: 97, 6: 333}
-    specs = {2: 4, 3: 15, 4: 63, 5: 282, 6: 1338}
-    for n in range(2, 7):
+    closed = {0: 1, 1: 1, 2: 3, 3: 9, 4: 29, 5: 97, 6: 333}
+    specs = {0: 1, 1: 1, 2: 4, 3: 15, 4: 63, 5: 282, 6: 1338}
+    for n in range(7):
         found = list(enumerate_invariant_spaces(n))
         assert len({s.units for s in found}) == closed[n]
         assert len(found) == specs[n]
+
+
+def test_partition_step_yields_exactly_the_closed_partition_specs():
+    # for every closed unit set S and every set partition P of the indices,
+    # the spec (S, P) is a closure fixed point exactly when it is yielded
+    for n in range(6):
+        closed = []
+
+        def keep(units):
+            closed.append(units)
+            return True
+
+        list(enumerate_invariant_spaces(n, keep=keep))
+        for units in closed:
+            yielded = list(_specs_for_units(n, units))
+            fixed = set()
+            for blocks in multiset_partitions(list(range(n))):
+                spec = InvariantSpaceSpec(n, units, blocks)
+                if triangular_closure(spec) == spec:
+                    fixed.add(spec)
+            assert len(set(yielded)) == len(yielded) and set(yielded) == fixed, units
 
 
 def test_enumerate_guard():
