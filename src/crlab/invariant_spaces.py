@@ -10,16 +10,18 @@ a space whose partition does not already contain it.
 
 Closure rules (least fixpoint):
 
-  R1  upper (i,j) in S        ->  the whole rectangle k <= i, l >= j joins S
-  R2  lower (i,j) in S        ->  (p,j) for p < i and (i,q) for q > j join S,
-                                  and the diagonal difference e_i - e_j joins
-                                  D (the upper ones among these pairs touch i
-                                  or j, so R4 on e_i - e_j adds them anyway)
-  R3  lower (i,j) in S        ->  the mirror (j,i) joins S
-  R4  d in D with d_p != d_q  ->  the upper pair (p,q) joins S; for partition
-                                  generators that is every pair crossing two
-                                  blocks, for a difference e_i - e_j every
-                                  upper pair touching i or j
+  R1  upper (i,j) in S        ->  the whole rectangle p <= i, q >= j joins S
+  R2  lower (i,j) in S        ->  the lower (p,j) and (i,p) for j < p < i
+                                  join S, and e_i - e_j joins D
+  R3  lower (i,j) in S        ->  the mirror (j,i) joins S (by R2 and R4)
+  R4  d in D with d_p != d_q  ->  the upper pair (p,q) joins S: every pair
+                                  crossing two blocks, and for a difference
+                                  e_i - e_j every upper pair touching i or j
+
+R2 states only what R4 does not: commutation with E_pi (p < i) and E_jq
+(q > j) carries a lower (i, j) to e_i - e_j, (p, j) and (i, q), and R4 on
+e_i - e_j adds every upper pair touching i or j, which holds the upper
+(p, j) and (i, q) and the mirror (j, i) (so R3 follows).
 
 Diagonal blocks.  A partition spec with closed units S is closed exactly
 when no missing upper pair (p, q) crosses two blocks (R4) and each index
@@ -166,32 +168,21 @@ class InvariantSpaceSpec:
 
 # -- closure -------------------------------------------------------------------
 
-def _rule_targets(n, i, j):
-    """Positions forced by a single unit at (i, j) (diagonal effects excluded)."""
-    out = set()
-    if i < j:
-        out.update((p, q) for p in range(i + 1) for q in range(j, n) if p != q)
-    else:
-        out.add((j, i))
-        out.update((p, j) for p in range(i) if p != j)
-        out.update((i, q) for q in range(j + 1, n) if q != i)
-    out.discard((i, j))
-    return out
-
-
 @lru_cache(maxsize=32)
 def _closure_masks(n):
-    """The off-diagonal positions and, per position, the bitmask of positions
-    it forces: R1-R3, plus for a lower (i, j) the upper pairs touching i or j
-    that its difference forces through R4.  Cached per n."""
+    """The off-diagonal positions and, per position, the bitmask of the
+    others it forces: R1 above the diagonal, R2's lower targets and R4 on
+    e_i - e_j below it (R3 follows).  Cached per n."""
     pos = tuple((i, j) for i in range(n) for j in range(n) if i != j)
     index = {p: b for b, p in enumerate(pos)}
     masks = []
-    for (i, j) in pos:
-        targets = _rule_targets(n, i, j)
-        if i > j:
-            targets.update((p, q) for (p, q) in pos if p < q and {p, q} & {i, j})
-        masks.append(sum(1 << index[t] for t in targets))
+    for b, (i, j) in enumerate(pos):
+        if i < j:
+            targets = [(p, q) for p in range(i + 1) for q in range(j, n)]
+        else:
+            targets = [t for p in range(j + 1, i) for t in ((p, j), (i, p))]
+            targets += [(p, q) for (p, q) in pos if p < q and {p, q} & {i, j}]
+        masks.append(sum(1 << index[t] for t in targets) & ~(1 << b))
     return pos, tuple(masks)
 
 
@@ -289,7 +280,7 @@ def enumerate_invariant_spaces(n, max_n=DEFAULT_SEARCH_GUARD, keep=None):
     """
     if n > max_n:
         raise ValueError(
-            f"n={n} exceeds the resource guard {max_n}; override max_n to force")
+            f"n={n} exceeds the resource guard {max_n}; override max_n (or CRLAB_MAX_N) to force")
     pos, masks = _closure_masks(n)
 
     def kept(mask):
@@ -379,7 +370,11 @@ def _least_spec(n, units):
 
 def _decide(spec, k, trials, seed):
     """The search's verdict on one space: ``certified_yes`` from a cover of at
-    most k lines, else the sampled ``certified_no`` or ``probable_yes``."""
+    most k lines, else the sampled ``certified_no`` or ``probable_yes``.
+    The sampling never stops at a rank ceiling: one at rank r <= k would put
+    all commutator columns (rows) in a span the torus makes a coordinate
+    subspace of dimension <= r, and its coordinates as rows (columns) would
+    be such a cover."""
     if commutator_line_cover(spec) <= k:
         return "certified_yes"
     if satisfies_rank_condition(spec, k, trials, seed).certified_no:

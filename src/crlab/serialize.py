@@ -111,6 +111,8 @@ def _mat_from_rows(rows, n, parsed):
 def subspace_to_dict(v):
     if v.rows != v.cols:
         raise SchemaError("subspace files hold square-matrix spaces only")
+    if v.rows < 1:  # a file no reader accepts is not written
+        raise SchemaError("ambient must be a positive integer")
     if not all(map(_is_rational, v.basis)):
         raise SchemaError("subspace files hold rational spaces only")
     return {

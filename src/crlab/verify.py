@@ -154,12 +154,14 @@ def _match_block_form(w, transposed, split):
     :func:`adapted_basis` reduction, so Q = diag(I_k, P2^{-1}) P1^{-1} is a
     product; the conjugation test inverts Q on its own.
     """
-    n, k = w.n, split.dim
-    p1_inv, quotient = split.p_inv, split.quotients
+    n, k, p1_inv = w.n, split.dim, split.p_inv
     m = n - k
-    # L m (q - tr(q)/m I), L q's scale: each nilpotent part times a positive
-    # int, so the strip's span is the same and no Fraction is built
-    nils = [q * (m * q.scale) - Mat.identity(m) * sum(q.entries[::m + 1]) for q in quotient]
+    qspace = MatrixSubspace.span(split.quotients, m, m)
+    # L m (q - tr(q)/m I), L q's scale, for q in a basis of the quotients:
+    # the nilpotent part is linear in q and each is scaled by a positive int,
+    # so the strip's span is the same and no Fraction is built
+    nils = [q * (m * q.scale) - Mat.identity(m) * sum(q.entries[::m + 1])
+            for q in qspace.basis]
     strip = VectorSpan(m, [nil.block(0, m, j, j + 1) for nil in nils for j in range(m)])
     l = strip.dim
     if l in valid_splits(n, k):
@@ -169,7 +171,7 @@ def _match_block_form(w, transposed, split):
                                     k_hat=k, l=l, chain_dims=(k, k + l),
                                     witness_basis=witness, transposed=transposed)
     if m in (2, 3):
-        hit = _match_exceptional(MatrixSubspace.span(quotient, m, m))
+        hit = _match_exceptional(qspace)
         if hit is not None:
             p2_inv, tag = hit
             witness = block_diag(Mat.identity(k), p2_inv) @ p1_inv

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from crlab.cli import main
 from crlab.commrank import satisfies_rank_condition
-from crlab.constructions import extremal_space, flanders_space
+from crlab.constructions import FAMILIES, _RANK1_VARIANTS, extremal_space, flanders_space
 from crlab.invariant_spaces import search_max_dimension
 from crlab.linalg import Mat, commutator, mat_from_columns
 from crlab.numberfield import NumberField
@@ -254,6 +255,30 @@ def test_construct_rejects_arguments_its_family_does_not_read(tmp_path, capsys, 
     assert message == f"family {argv[1]} does not read {unread}"
 
 
+def test_construct_writes_only_files_that_read_back(tmp_path, capsys):
+    # every family at n = 0..3, with each value of the arguments it reads:
+    # construct refuses (exit 2, no file) or writes a file every reader takes
+    values = {"k": (None, -1, 0, 1, 2, 3), "l": (None, -1, 0, 1, 2, 3),
+              "variant": (None, "generic", *_RANK1_VARIANTS, "bogus")}
+    out = tmp_path / "v.json"
+    written = 0
+    for family, reads in FAMILIES.items():
+        for n in range(4):
+            for args in itertools.product(*(values[name] for name in reads)):
+                argv = ["construct", "--family", family, "--n", str(n), "-o", str(out)]
+                for name, value in zip(reads, args):
+                    argv += [] if value is None else [f"--{name}", str(value)]
+                code = run_cli(*argv)
+                capsys.readouterr()
+                if code == 0:
+                    assert read_subspace(out).n == n, argv
+                    out.unlink()
+                    written += 1
+                else:
+                    assert code == 2 and not out.exists(), argv
+    assert written == 50
+
+
 def test_search_command(tmp_path, capsys):
     code = run_cli("search", "--n", "3", "--k", "1", "--seed", "1")
     captured = capsys.readouterr()
@@ -291,7 +316,8 @@ def test_search_guard_env(tmp_path, monkeypatch, capsys):
     code = run_cli("search", "--n", "3", "--k", "1")
     captured = capsys.readouterr()
     assert code == 2
-    assert "error" in captured.err
+    message = json.loads(captured.err)["error"]["message"]
+    assert message == "n=3 exceeds the resource guard 2; override max_n (or CRLAB_MAX_N) to force"
 
 
 def test_analyze_rank_condition_equals_a_separate_sampling(tmp_path, capsys):

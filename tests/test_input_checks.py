@@ -13,7 +13,7 @@ from crlab.invariant_spaces import (InvariantSpaceSpec, enumerate_invariant_spac
                                     search_max_dimension)
 from crlab.linalg import Mat, VectorSpan, random_matrix
 from crlab.numberfield import NumberField, irreducible_factors
-from crlab.serialize import SchemaError, subspace_from_dict, to_jsonable
+from crlab.serialize import SchemaError, subspace_from_dict, subspace_to_dict, to_jsonable
 from crlab.subspace import MatrixSubspace, span, zero_space
 
 _SQUARE = Mat.identity(2)
@@ -49,6 +49,7 @@ def _set_attribute(obj):
     (lambda: subspace_from_dict([]), SchemaError, "top level must be an object"),
     (lambda: subspace_from_dict({"ambient": 2, "field": "Q", "basis": {}}),
      SchemaError, "basis must be a list of matrices"),
+    (lambda: subspace_to_dict(zero_space(0)), SchemaError, "ambient must be a positive integer"),
     (lambda: to_jsonable(object()), TypeError, "cannot encode object"),
     # no report holds a bare scalar or a space
     (lambda: to_jsonable(Fraction(1, 2)), TypeError, "cannot encode Fraction"),

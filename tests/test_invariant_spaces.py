@@ -6,19 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
+import crlab.commrank as commrank
 import crlab.invariant_spaces as invariant_spaces
 from crlab.commrank import (dimension_bound, max_commutator_rank,
                             satisfies_rank_condition)
 from crlab.constructions import extremal_space, schur_space
-from crlab.invariant_spaces import (InvariantSpaceSpec, _closure_masks,
-                                    _least_spec, _specs_for_units,
+from crlab.invariant_spaces import (InvariantSpaceSpec, _close_mask,
+                                    _closure_masks, _least_spec,
+                                    _specs_for_units, _units_of,
                                     commutator_line_cover,
                                     enumerate_invariant_spaces,
                                     is_triangular_invariant,
                                     search_max_dimension, split_bound,
                                     triangular_closure)
-from crlab.linalg import Mat
-from crlab.subspace import full_space, span
+from crlab.linalg import Mat, commutator
+from crlab.subspace import MatrixSubspace, full_space, span
 
 
 def _scalars_spec(n, units=()):
@@ -71,6 +73,34 @@ def _random_partition_spec(n, rng):
                       if rng.random() < 0.15)
     return InvariantSpaceSpec(n, _random_spec(n, rng).units,
                               tuple(tuple(b) for b in blocks if b), diffs)
+
+
+def _least_invariant_units(n, i, j):
+    """Off-diagonal support of the least triangular-invariant space holding
+    E_ij, from the matrix definition: close span{E_ij} under [E_ab, .] for
+    a < b and under the torus grading (each off-diagonal position in a
+    member's support spans a unit line of the space)."""
+    v = MatrixSubspace.span([Mat.unit(n, i, j)], n, n)
+    while True:
+        support = {divmod(f, n) for a in v.basis for f, x in enumerate(a.entries)
+                   if x and f % (n + 1)}
+        mats = list(v.basis) + [Mat.unit(n, x, y) for (x, y) in support]
+        mats += [commutator(Mat.unit(n, a, b), m) for a in range(n)
+                 for b in range(a + 1, n) for m in v.basis]
+        w = MatrixSubspace.span(mats, n, n)
+        if w.dim == v.dim:
+            return frozenset(support)
+        v = w
+
+
+def test_closure_table_matches_the_matrix_definition_of_invariance():
+    # each position's closure in the table is the unit set of the least
+    # invariant space holding its matrix unit
+    for n in range(6):
+        pos, masks = _closure_masks(n)
+        for b, (i, j) in enumerate(pos):
+            table = _units_of(_close_mask(1 << b, masks), pos)
+            assert table == _least_invariant_units(n, i, j), (n, i, j)
 
 
 def test_closure_with_partition_and_differences_is_invariant():
@@ -412,18 +442,25 @@ def test_search_samples_sets_without_a_cover(monkeypatch):
         assert triangular_closure(spec) == spec
         assert spec.realize().is_algebra()
         assert commutator_line_cover(spec) == 3
-    sampled = {}
+    sampled, ceilings, ceiling = {}, [], commrank._ceiling
 
     def recording(spec, k, trials, seed):
         verdict = satisfies_rank_condition(spec, k, trials, seed)
         sampled[spec] = verdict.status
         return verdict
 
+    def recording_ceiling(basis, comm, n):
+        ceilings.append(ceiling(basis, comm, n))
+        return ceilings[-1]
+
     monkeypatch.setattr(invariant_spaces, "satisfies_rank_condition", recording)
+    monkeypatch.setattr(commrank, "_ceiling", recording_ceiling)
     report = search_max_dimension(8, 2, trials=32, seed=2024)
     assert report.max_dim == report.bound == 26
     for spec in least:
         assert sampled[spec] == "PROBABLE_YES"
+    # a ceiling at rank <= k would give a cover of <= k lines (_decide)
+    assert len(ceilings) >= 4 and all(c is None for c in ceilings)
     # every spec of the argmax still has a cover of 2 lines
     assert report.counts["certified_yes"] == len(report.argmax)
 
